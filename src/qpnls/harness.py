@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -126,7 +127,61 @@ def validate_config(config: dict) -> potential.ModelParams:
             threshold_exp=d.get("threshold_exp"), L=d.get("L", 4))
     except ValueError as exc:
         raise ConfigError(f"invalid Diophantine parameters: {exc}") from exc
+    for section, key, integer, low, strict, optional in _STAGE_FIELDS:
+        _check_field(config, section, key, integer, low, strict, optional)
+    if config["ldt"]["sigma_min"] > config["ldt"]["sigma_max"]:
+        raise ConfigError("ldt.sigma_min must not exceed ldt.sigma_max")
+    if not isinstance(config["solver"].get("q_before_p", True), bool):
+        raise ConfigError("solver.q_before_p must be true or false")
+    try:
+        _lde_params(config)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid lde parameters: {exc}") from exc
     return params
+
+
+# Numeric fields of the stage sections:
+# (section, key, integer, lower bound, bound excluded, may be null).
+_STAGE_FIELDS = (
+    ("regions", "r", True, 1, False, False),
+    ("regions", "N", True, 1, False, False),
+    ("ldt", "M", True, 1, False, False),
+    ("ldt", "n_range", True, 0, False, False),
+    ("ldt", "sigma_min", False, None, False, False),
+    ("ldt", "sigma_max", False, None, False, False),
+    ("ldt", "sigma_points", True, 1, False, False),
+    ("lde", "gamma_target", False, 0, True, True),
+    ("lde", "norm_exp", False, 0, True, False),
+    ("lde", "dist_exp", False, 0, True, False),
+    ("solver", "M", True, 1, False, False),
+    ("solver", "r_max", True, 0, False, False),
+    ("solver", "tol", False, 0, True, False),
+    ("solver", "N_cap", True, 1, False, False),
+    ("evolve", "T", False, 0, True, False),
+    ("evolve", "dt", False, 0, True, False),
+    ("evolve", "tail_radius", True, 0, False, True),
+)
+
+
+def _check_field(config: dict, section: str, key: str, integer: bool,
+                 low: Optional[float], strict: bool, optional: bool) -> None:
+    block = config.get(section)
+    if not isinstance(block, dict):
+        raise ConfigError(f"config section {section!r} must be an object")
+    value = block.get(key)
+    if value is None and optional:
+        return
+    if isinstance(value, float):
+        ok = math.isfinite(value) and (value.is_integer() or not integer)
+    else:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    if ok and low is not None:
+        ok = value > low if strict else value >= low
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+        raise ConfigError(f"{section}.{key} = {value!r}: expected {kind}"
+                          f"{bound}")
 
 
 def _lde_params(config: dict) -> linop.LDEParams:
@@ -221,8 +276,10 @@ def stage_solve(config: dict, out: Path) -> dict:
         params, M=int(sc["M"]), r_max=int(sc["r_max"]),
         tol=float(sc["tol"]), N_cap=int(sc["N_cap"]),
         q_before_p=bool(sc.get("q_before_p", True)))
+    record = solver.solution_to_record(sol)
+    record["solve_config_hash"] = _solve_config_hash(config)
     atomic_write_text(out / "solution.json", json.dumps(
-        solver.solution_to_record(sol), sort_keys=True, indent=2))
+        record, sort_keys=True, indent=2))
     rows = [[s["r"], s["N"], repr(s["residual"]), repr(s["correction"]),
              json.dumps(list(s["omega"]))] for s in sol.trace.steps]
     _write_csv(out / "newton_trace.csv",
@@ -233,14 +290,24 @@ def stage_solve(config: dict, out: Path) -> dict:
             "residual": sol.certificates.residual}
 
 
+def _solve_config_hash(config: dict) -> str:
+    """Hash of the config sections a solution depends on."""
+    return config_hash({"params": config["params"],
+                        "solver": config["solver"]})
+
+
 def stage_evolve(config: dict, out: Path) -> dict:
+    """Verify the solution in the output directory, solving first when
+    there is none or it was solved from other params/solver sections."""
     path = out / "solution.json"
-    if not path.exists():
+    record = json.loads(path.read_text()) if path.exists() else {}
+    if record.get("solve_config_hash") != _solve_config_hash(config):
         solve_info = stage_solve(config, out)
         if solve_info["status"] != "pass":
             return {"status": "fail", "outputs": solve_info["outputs"],
                     "reason": "solver did not converge"}
-    sol = solver.solution_from_record(json.loads(path.read_text()))
+        record = json.loads(path.read_text())
+    sol = solver.solution_from_record(record)
     ec = config["evolve"]
     report = evolve.verify(sol, T=float(ec["T"]), dt=float(ec["dt"]),
                            tail_radius=ec.get("tail_radius"))
@@ -287,8 +354,10 @@ def run(config: dict, command: str, out_dir: str) -> dict:
         t0 = time.perf_counter()
         try:
             info = STAGES[name](config, out)
-        except (linop.SingularOperatorError, solver.DivergedError,
-                evolve.BlowUpError) as exc:
+        except RuntimeError as exc:
+            # Every numerical failure is a RuntimeError: singular operators,
+            # Newton divergence, RK4 blow-up, a frequency solve that does
+            # not converge.
             info = {"status": "numeric-error", "error": str(exc)}
         info["wall_time_s"] = round(time.perf_counter() - t0, 6)
         manifest["stages"][name] = info

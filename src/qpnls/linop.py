@@ -3,8 +3,10 @@
 An operator lives on the +/- layered sites of a region: diagonal part
 built from sigma, k . omega and the potential values mu_n, a hopping
 Laplacian acting in n on each layer, and an optional short-range coupling
-term.  Green's functions are computed by direct factorization and
-classified by inverse norm and off-diagonal decay.
+term.  Green's functions are computed from one SVD each and classified
+by inverse norm and off-diagonal decay.  Sigma sweeps classify every
+sigma of a region from one eigendecomposition per region and layer: the
++/- layers decouple and each is real symmetric, shifted by -+ sigma.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import Indexing, Region, Site, index_region, sup_norm
 from .potential import ModelParams
@@ -173,30 +174,52 @@ class GreenReport:
     far_pair_count: int
 
 
-def operator_norm(G: np.ndarray, tol: float = 1e-10,
-                  max_iter: int = 10_000) -> float:
-    """Largest singular value by power iteration on G* G."""
-    m = G.shape[0]
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    Gh = G.conj().T
-    prev = 0.0
-    for _ in range(max_iter):
-        w = Gh @ (G @ v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) <= tol * max(lam, 1.0):
-            break
-        prev = lam
-    return math.sqrt(lam)
+def operator_norm(G: np.ndarray) -> float:
+    """Largest singular value (exact spectral norm)."""
+    return float(np.linalg.norm(G, 2))
 
 
-def _pair_distances(idx: Indexing) -> np.ndarray:
-    pos = idx.positions()
-    return np.abs(pos[:, None, :] - pos[None, :, :]).max(axis=2)
+# An inverse is trusted when the operator's condition number is finite and
+# at most _COND_MAX and ||H G - I||_F <= _RESIDUAL_RTOL max(1, ||G||_F).
+_COND_MAX = 1e14
+_RESIDUAL_RTOL = 1e-10
+
+
+def _scale(region: Region, lde: LDEParams,
+           gamma: float) -> tuple[int, float, float]:
+    """A region's scale M (its diameter), norm budget exp(M^norm_exp) and
+    target decay rate."""
+    M = max(region.diameter(), 1)
+    target = lde.gamma_target if lde.gamma_target is not None else gamma / 2.0
+    return M, math.exp(M ** lde.norm_exp), target
+
+
+def _far_pairs(positions: np.ndarray, cutoff: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and sup distances of the pairs of sites at distance
+    at least cutoff, in row-major order."""
+    dist = np.abs(positions[:, None, :] - positions[None, :, :]).max(axis=2)
+    mask = dist >= cutoff
+    np.fill_diagonal(mask, False)
+    rows, cols = np.nonzero(mask)
+    return rows, cols, dist[rows, cols].astype(float)
+
+
+def _classify(cond, residual, g_fro, norm, g_far, norm_budget: float,
+              envelope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Verdicts of inverses, elementwise over any leading sigma axes.
+
+    Returns (inverted, good): inverted when the inverse is trusted (see
+    _COND_MAX), good when it is also within the norm budget and every far
+    entry |G_ij| (g_far, last axis) is at most its envelope
+    exp(-gamma_target d_ij).  Non-finite inputs count as failures.
+    """
+    with np.errstate(invalid="ignore"):
+        inverted = (np.isfinite(cond) & (cond <= _COND_MAX)
+                    & (residual <= _RESIDUAL_RTOL * np.maximum(1.0, g_fro)))
+        good = (inverted & (norm <= norm_budget)
+                & np.all(g_far <= envelope, axis=-1))
+    return inverted, good
 
 
 def green(op: AssembledOperator, lde: LDEParams = LDEParams(),
@@ -205,53 +228,41 @@ def green(op: AssembledOperator, lde: LDEParams = LDEParams(),
 
     The region diameter plays the role of the scale M: the report is good
     when the inverse norm stays below exp(M^{3/4}) and every pair beyond
-    distance M^{8/9} decays at the target rate.
+    distance M^{8/9} decays at the target rate.  One SVD H = U S V* gives
+    the condition number, G = V S^{-1} U* and the exact norm 1/s_min.
     """
     H = op.matrix
-    m = H.shape[0]
-    cond = np.linalg.cond(H)
-    if not np.isfinite(cond) or cond > 1e14:
-        svals = np.linalg.svd(H, compute_uv=False)
+    U, s, Vh = np.linalg.svd(H)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = s[0] / s[-1]
+        norm = 1.0 / s[-1]
+        G = (Vh.conj().T / s) @ U.conj().T
+        residual = np.linalg.norm(H @ G - np.eye(H.shape[0]))
+    M, norm_budget, gamma_target = _scale(op.region, lde, gamma)
+    rows, cols, d_far = _far_pairs(op.indexing.positions(), M ** lde.dist_exp)
+    g_far = np.abs(G[rows, cols])
+    inverted, good = _classify(cond, residual, np.linalg.norm(G), norm, g_far,
+                               norm_budget, np.exp(-gamma_target * d_far))
+    if not inverted:
         raise SingularOperatorError(
-            f"operator numerically singular (cond {cond:.3e})",
-            float(svals[-1]))
-    lu, piv = scipy.linalg.lu_factor(H)
-    G = scipy.linalg.lu_solve((lu, piv), np.eye(m, dtype=complex))
-    residual = np.linalg.norm(H @ G - np.eye(m))
-    if residual > 1e-10 * max(1.0, np.linalg.norm(G)):
-        raise SingularOperatorError(
-            f"inverse residual too large ({residual:.3e})", 0.0)
+            f"operator numerically singular (cond {cond:.3e}, "
+            f"inverse residual {residual:.3e})", float(s[-1]))
 
-    M = max(op.region.diameter(), 1)
-    dist = _pair_distances(op.indexing)
-    cutoff = M ** lde.dist_exp
-    mask = dist >= cutoff
-    np.fill_diagonal(mask, False)
-    gamma_target = lde.gamma_target if lde.gamma_target is not None else gamma / 2.0
-    norm = operator_norm(G)
-    norm_budget = math.exp(M ** lde.norm_exp)
-
-    if mask.any():
-        d_far = dist[mask].astype(float)
-        g_far = np.abs(G[mask])
+    if d_far.size:
         logs = np.log(np.maximum(g_far, 1e-300))
         A = np.vstack([d_far, np.ones_like(d_far)]).T
         sol, res, *_ = np.linalg.lstsq(A, logs, rcond=None)
         rate_fit = float(-sol[0])
-        fit_residual = float(np.sqrt(res[0] / mask.sum())) if res.size else 0.0
-        decay_ok = bool(np.all(g_far <= np.exp(-gamma_target * d_far)))
-        far_count = int(mask.sum())
+        fit_residual = float(np.sqrt(res[0] / d_far.size)) if res.size else 0.0
     else:
         rate_fit = math.inf
         fit_residual = 0.0
-        decay_ok = True
-        far_count = 0
 
     report = GreenReport(
-        norm=norm, decay_rate_fit=rate_fit, decay_fit_residual=fit_residual,
-        good=bool(norm <= norm_budget and decay_ok), M=M,
+        norm=float(norm), decay_rate_fit=rate_fit,
+        decay_fit_residual=fit_residual, good=bool(good), M=M,
         norm_budget=norm_budget, gamma_target=gamma_target,
-        far_pair_count=far_count)
+        far_pair_count=int(d_far.size))
     return G, report
 
 
@@ -271,13 +282,13 @@ def schur_green(op: AssembledOperator,
     HCB = H[np.ix_(C, B)]
     HCC = H[np.ix_(C, C)]
     cond = np.linalg.cond(HCC)
-    if not np.isfinite(cond) or cond > 1e14:
+    if not np.isfinite(cond) or cond > _COND_MAX:
         raise SingularOperatorError(
             "complement block numerically singular", 0.0)
     GCC = np.linalg.inv(HCC)
     Schur = HBB - HBC @ GCC @ HCB
     cond_s = np.linalg.cond(Schur)
-    if not np.isfinite(cond_s) or cond_s > 1e14:
+    if not np.isfinite(cond_s) or cond_s > _COND_MAX:
         raise SingularOperatorError(
             "resonant Schur block numerically singular", 0.0)
     SB = np.linalg.inv(Schur)
@@ -322,32 +333,26 @@ def lde_region_family(params: ModelParams, M: int,
 def sigma_sweep(params: ModelParams, omega: Sequence[float],
                 regions: Sequence[tuple[Region, str]],
                 sigma_grid: Sequence[float],
-                S: Optional[ShortRangeOperator] = None,
                 lde: LDEParams = LDEParams(),
                 exclude: Iterable[Site] = ()) -> SweepStats:
     """Classify every sigma as good or bad over a family of regions.
 
     A sigma is bad when any region in the family fails its Green's
-    function classification (or is singular).  Returns the bad fraction,
-    maximal bad intervals of the grid, and the first failing region per
-    sigma.
+    function classification (or is singular), with the thresholds of
+    green.  Returns the bad fraction, maximal bad intervals of the grid,
+    and the first failing region per sigma.  Each region is assembled
+    once and classified for all sigma still good from one
+    eigendecomposition per layer (see _sweep_region).
     """
     sigmas = np.asarray(sigma_grid, dtype=float)
-    good = np.ones(sigmas.size, dtype=bool)
-    worst = [-1] * sigmas.size
-    for si, sigma in enumerate(sigmas):
-        for ri, (region, _) in enumerate(regions):
-            try:
-                op = assemble_H(params, omega, region, float(sigma), S,
-                                exclude=exclude)
-                _, rep = green(op, lde)
-                ok = rep.good
-            except SingularOperatorError:
-                ok = False
-            if not ok:
-                good[si] = False
-                worst[si] = ri
-                break
+    worst = np.full(sigmas.size, -1)
+    for ri, (region, _) in enumerate(regions):
+        live = np.flatnonzero(worst < 0)
+        if live.size == 0:
+            break
+        op = assemble_H(params, omega, region, 0.0, exclude=exclude)
+        worst[live[~_sweep_region(op, sigmas[live], lde)]] = ri
+    good = worst < 0
     bad_fraction = float((~good).mean()) if sigmas.size else 0.0
     intervals = []
     start = None
@@ -360,7 +365,69 @@ def sigma_sweep(params: ModelParams, omega: Sequence[float],
     if start is not None:
         intervals.append((float(start), float(sigmas[-1])))
     return SweepStats(sigmas, good, bad_fraction, tuple(intervals),
-                      tuple(worst))
+                      tuple(int(w) for w in worst))
+
+
+# Sigmas per batch in _sweep_region: at most this many entries per stack
+# of layer inverses.
+_BATCH_ENTRIES = 1 << 21
+
+
+def _sweep_region(op: AssembledOperator, sigmas: np.ndarray,
+                  lde: LDEParams) -> np.ndarray:
+    """green's good/bad verdict for op at sigma = 0 shifted to each sigma.
+
+    Without a short-range term the + and - layers decouple and each layer
+    block is real symmetric, H(sigma) = H0 -+ sigma I on the +/- layer.
+    One eigh H0 = Q diag(lam) Q^T per layer then gives, for every sigma,
+    the exact eigenvalues lam -+ sigma (hence the condition number and
+    ||G|| = 1 / min |lam -+ sigma|) and G = Q diag(1/(lam -+ sigma)) Q^T,
+    from which the inverse residual and the far-pair decay are checked
+    as in green.  Far pairs across layers are left out: G is exactly zero
+    there, and so within every envelope.
+    """
+    H0 = op.matrix
+    xi = np.array([site[2] for site in op.indexing.sites])
+    plus, minus = np.flatnonzero(xi > 0), np.flatnonzero(xi < 0)
+    if np.any(H0.imag != 0.0) or np.any(H0[np.ix_(plus, minus)] != 0.0):
+        raise ValueError("sweep needs real, decoupled +/- layers")
+    M, norm_budget, gamma_target = _scale(op.region, lde, 1.0)
+    positions = op.indexing.positions()
+    layers = []  # (sign, lam, Q, block, far rows, far cols)
+    envelopes = []
+    for sign, layer in ((1.0, plus), (-1.0, minus)):
+        if layer.size == 0:
+            continue
+        block = H0.real[np.ix_(layer, layer)]
+        lam, Q = np.linalg.eigh(block)
+        rows, cols, d_far = _far_pairs(positions[layer], M ** lde.dist_exp)
+        layers.append((sign, lam, Q, block, rows, cols))
+        envelopes.append(np.exp(-gamma_target * d_far))
+    envelope = np.concatenate(envelopes)
+    step = max(1, _BATCH_ENTRIES // max(lay[1].size for lay in layers) ** 2)
+    good = np.empty(sigmas.size, dtype=bool)
+    for start in range(0, sigmas.size, step):
+        sig = sigmas[start:start + step]
+        spec, res2, fro2, g_far = [], 0.0, 0.0, []
+        for sign, lam, Q, block, rows, cols in layers:
+            shift = sign * sig[:, None]
+            mu = lam[None, :] - shift  # eigenvalues of the layer of H(sigma)
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                G = (Q[None, :, :] / mu[:, None, :]) @ Q.T
+                R = block @ G - shift[:, :, None] * G - np.eye(lam.size)
+                res2 = res2 + np.sum(R * R, axis=(1, 2))
+                fro2 = fro2 + np.sum(G * G, axis=(1, 2))
+            spec.append(np.abs(mu))
+            g_far.append(np.abs(G[:, rows, cols]))
+        spec = np.concatenate(spec, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = spec.max(axis=1) / spec.min(axis=1)
+            norm = 1.0 / spec.min(axis=1)
+        _, good[start:start + step] = _classify(
+            cond, np.sqrt(res2), np.sqrt(fro2), norm,
+            np.concatenate(g_far, axis=1), norm_budget, envelope)
+    return good
 
 
 def min_diagonal_gap(params: ModelParams, omega: Sequence[float],

@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from qpnls.harness import (DEFAULT_CONFIG, EXIT_OK, EXIT_VALIDATION,
-                           ConfigError, apply_override, canonical_json,
-                           config_hash, load_config, main, run,
-                           validate_config)
+from qpnls import solver
+from qpnls.harness import (DEFAULT_CONFIG, EXIT_NUMERIC, EXIT_OK,
+                           EXIT_VALIDATION, ConfigError, apply_override,
+                           canonical_json, config_hash, load_config, main,
+                           run, validate_config)
 
 
 def light_config():
@@ -37,6 +38,16 @@ class TestConfig:
     def test_invalid_potential_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, ['params.V.terms=[{"l":[0],"v":1.0}]'])
+
+    @pytest.mark.parametrize("override", [
+        "regions.N=0", "regions.r=1.5", "ldt.sigma_points=0",
+        'ldt.M="two"', "ldt.sigma_min=3.0", "lde.rho=2.0",
+        "lde.gamma_target=-1", "solver.N_cap=0", "solver.tol=0",
+        "solver.q_before_p=1", "evolve.dt=0", "evolve.T=-1",
+        "evolve=5"])
+    def test_stage_sections_validated(self, override):
+        with pytest.raises(ConfigError):
+            load_config(None, [override])
 
     def test_hash_changes_with_fields(self):
         a = json.loads(json.dumps(DEFAULT_CONFIG))
@@ -81,6 +92,28 @@ class TestStages:
                 continue  # carries wall times
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_evolve_resolves_stale_solution(self, tmp_path):
+        # a solution solved from another config is not verified as is
+        assert main(["solve", "--set", "params.epsilon=0.01", "--set",
+                     "solver.N_cap=8", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["evolve", "--set", "solver.N_cap=8", "--set",
+                     "evolve.T=1.0", "--out", str(tmp_path)]) == EXIT_OK
+        rec = json.loads((tmp_path / "solution.json").read_text())
+        assert rec["params"]["epsilon"] == DEFAULT_CONFIG["params"]["epsilon"]
+
+    def test_all_solves_once(self, tmp_path, monkeypatch):
+        calls = []
+        run_solver = solver.run_solver
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_solver(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "run_solver", counted)
+        manifest = run(light_config(), "all", str(tmp_path))
+        assert manifest["stages"]["evolve"]["status"] == "pass"
+        assert len(calls) == 1
+
     def test_unknown_command(self, tmp_path):
         with pytest.raises(ConfigError):
             run(light_config(), "bogus", str(tmp_path))
@@ -93,6 +126,22 @@ class TestCli:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "validation"
+
+    def test_section_error_exit_code(self, tmp_path, capsys):
+        code = main(["regions", "--set", "regions.N=0",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    def test_frequency_solve_failure_exit_code(self, tmp_path, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("frequency solve did not converge")
+
+        monkeypatch.setattr(solver, "solve_Q", no_convergence)
+        code = main(["solve", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["stages"]["solve"]["status"] == "numeric-error"
 
     def test_solve_command(self, tmp_path, capsys):
         code = main(["solve", "--set", "solver.N_cap=8",

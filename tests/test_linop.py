@@ -9,6 +9,7 @@ from qpnls.linop import (LDEParams, ShortRangeOperator, SingularOperatorError,
                          green, lde_region_family, linear_localization_diagnostic,
                          load_matrix, min_diagonal_gap, operator_norm,
                          perturbation_stability, schur_green, sigma_sweep)
+from qpnls.linop import _sweep_region
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 
@@ -215,12 +216,92 @@ class TestSweep:
         stats = sigma_sweep(p, base_frequencies(p), [], [0.1, 0.2])
         assert stats.bad_fraction == 0.0
 
+    def test_decoupling_checked(self):
+        p, op = make_operator(sigma=0.0)
+        plus = op.indexing[((0,), (0,), 1)]
+        minus = op.indexing[((0,), (1,), -1)]
+        object.__setattr__(op, "matrix", op.matrix.copy())
+        op.matrix[plus, minus] = op.matrix[minus, plus] = 1e-3
+        with pytest.raises(ValueError):
+            _sweep_region(op, np.array([0.3]), LDEParams())
+
     def test_family_construction(self):
         p = reference_params()
         fam = lde_region_family(p, 1, n_range=2)
         assert len(fam) == 25  # 5 shapes at M = 1 in r = 2, n in +-2
         fam2 = lde_region_family(p, 2, n_range=1)
         assert all(reg.size() > 0 for reg, _ in fam2)
+
+
+def reference_sweep(p, om, family, grid, lde, exclude):
+    """sigma_sweep's labels from assemble_H + green at every sigma, with the
+    number of singular operators met."""
+    worst, singular = [], 0
+    for sigma in grid:
+        first = -1
+        for ri, (reg, _) in enumerate(family):
+            try:
+                ok = green(assemble_H(p, om, reg, float(sigma),
+                                      exclude=exclude), lde)[1].good
+            except SingularOperatorError:
+                ok, singular = False, singular + 1
+            if not ok:
+                first = ri
+                break
+        worst.append(first)
+    good = np.array(worst) < 0
+    intervals, start = [], None
+    for i, g in enumerate(good):
+        if not g and start is None:
+            start = float(grid[i])
+        if g and start is not None:
+            intervals.append((start, float(grid[i - 1])))
+            start = None
+    if start is not None:
+        intervals.append((start, float(grid[-1])))
+    return good, tuple(worst), float((~good).mean()), tuple(intervals), \
+        singular
+
+
+class TestSweepOracle:
+    """The spectral sweep against green at every sigma."""
+
+    LDE = LDEParams(gamma_target=0.5)  # the ldt stage's defaults
+
+    def check(self, p, family, grid, lde, exclude=()):
+        om = base_frequencies(p)
+        stats = sigma_sweep(p, om, family, grid, lde=lde, exclude=exclude)
+        good, worst, frac, intervals, singular = reference_sweep(
+            p, om, family, grid, lde, exclude)
+        assert np.array_equal(stats.good, good)
+        assert stats.worst_region == worst
+        assert stats.bad_fraction == frac
+        assert stats.bad_intervals == intervals
+        return stats, singular
+
+    def test_default_ldt_config(self):
+        p = reference_params()
+        stats, _ = self.check(p, lde_region_family(p, 2, n_range=2),
+                              np.linspace(-2.0, 2.0, 41), self.LDE,
+                              frozen_mode_sites(p.sites))
+        assert 0.0 < stats.bad_fraction < 1.0
+
+    def test_determinism_ldt_config(self):
+        p = reference_params()
+        self.check(p, lde_region_family(p, 1, n_range=1),
+                   np.linspace(-1.0, 1.0, 11), self.LDE,
+                   frozen_mode_sites(p.sites))
+
+    def test_exact_resonance_couplings_off(self):
+        p = reference_params(0.0, 0.0)
+        om = base_frequencies(p)
+        # the diagonal at ((1,), (1,), +1) vanishes exactly at this sigma
+        resonance = -om[0] + p.mu_n((1,))
+        grid = np.sort(np.append(np.linspace(-2.0, 2.0, 41), resonance))
+        stats, singular = self.check(p, [(Region.cube(2, 1), "cube")], grid,
+                                     LDEParams())
+        assert singular >= 1
+        assert not stats.good[np.flatnonzero(grid == resonance)[0]]
 
 
 class TestPerturbationStability:

@@ -205,13 +205,6 @@ class DCReport:
     def by_condition(self, cond: str) -> list[tuple]:
         return [v for v in self.violations if v[0] == cond]
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"condition": v[0], "witness": repr(v[1]), "value": v[2],
-             "threshold": v[3]}
-            for v in self.violations
-        ]
-
 
 def _k_vectors(b: int, radius: int, include_zero: bool) -> list[IntVec]:
     import itertools

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .linop import box_operator
 from .potential import ModelParams
 from .solver import Solution
 
@@ -79,30 +80,11 @@ def _rhs_factory(params: ModelParams,
                  box: LatticeBox) -> Callable[[np.ndarray], np.ndarray]:
     """du/dt = i ((eps hopping + V) u + delta |u|^2p u), zero padding
     outside the box."""
-    mu_grid = np.empty(box.shape)
-    for n in box.sites():
-        mu_grid[box.index(n)] = params.mu_n(n)
-    eps, delta, p = params.epsilon, params.delta, params.p
-
-    def hopping(u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        for axis in range(box.d):
-            out += np.roll(u, 1, axis=axis) + np.roll(u, -1, axis=axis)
-            # undo wraparound: zero Dirichlet outside the box
-            sl_lo = [slice(None)] * box.d
-            sl_lo[axis] = 0
-            sl_hi = [slice(None)] * box.d
-            sl_hi[axis] = -1
-            shifted_in = np.roll(u, 1, axis=axis)
-            shifted_out = np.roll(u, -1, axis=axis)
-            out[tuple(sl_lo)] -= shifted_in[tuple(sl_lo)]
-            out[tuple(sl_hi)] -= shifted_out[tuple(sl_hi)]
-        return out
+    L = box_operator(params, box.R)
+    delta, p = params.delta, params.p
 
     def rhs(u: np.ndarray) -> np.ndarray:
-        lin = mu_grid * u
-        if eps != 0.0:
-            lin = lin + eps * hopping(u)
+        lin = (L @ u.ravel()).reshape(u.shape)
         if delta != 0.0:
             lin = lin + delta * np.abs(u) ** (2 * p) * u
         return 1j * lin
@@ -148,9 +130,7 @@ def integrate(u0: np.ndarray, params: ModelParams, box: LatticeBox,
 def closed_form_decoupled(u0: np.ndarray, params: ModelParams,
                           box: LatticeBox, t: float) -> np.ndarray:
     """Exact flow for eps = delta = 0: per-site phase rotation."""
-    mu_grid = np.empty(box.shape)
-    for n in box.sites():
-        mu_grid[box.index(n)] = params.mu_n(n)
+    mu_grid = box_operator(params, box.R).diagonal().real.reshape(box.shape)
     return np.exp(1j * mu_grid * t) * u0
 
 

@@ -100,10 +100,6 @@ class Region:
     def r(self) -> int:
         return len(self.lo)
 
-    @property
-    def side_lengths(self) -> IntVec:
-        return tuple(h - l for l, h in zip(self.lo, self.hi))
-
     def n_active_cuts(self) -> int:
         if self.sign_cuts is None:
             return 0
@@ -185,9 +181,6 @@ class Region:
             (pts >= np.asarray(self.lo)) & (pts <= np.asarray(self.hi)),
             axis=1)
         return in_box & ~self._removed_mask(pts)
-
-    def is_empty(self) -> bool:
-        return not self.sites()
 
     def diameter(self) -> int:
         """Sup-norm diameter, computed exactly from the member sites."""

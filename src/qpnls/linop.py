@@ -3,24 +3,27 @@
 An operator lives on the +/- layered sites of a region: diagonal part
 built from sigma, k . omega and the potential values mu_n, a hopping
 Laplacian acting in n on each layer, and an optional short-range coupling
-term.  Green's functions are computed from one SVD each and classified
-by inverse norm and off-diagonal decay.  Sigma sweeps classify every
-sigma of a region from one eigendecomposition per region and layer: the
-+/- layers decouple and each is real symmetric, shifted by -+ sigma.
+term.  lattice_operator builds the diagonal and hopping parts as a sparse
+matrix on any indexed site set; Newton, the residual, the time-domain
+right-hand side and the classification sweeps all use it.  Green's
+functions are computed from one SVD each and classified by inverse norm
+and off-diagonal decay.  Sigma sweeps classify every sigma of a region
+from one eigendecomposition per region and layer: the +/- layers
+decouple and each is real symmetric, shifted by -+ sigma.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .lattice import Indexing, Region, Site, index_region, sup_norm
 from .potential import ModelParams
-
-IntVec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -41,14 +44,11 @@ class ShortRangeOperator:
         if self.decay_const < 0:
             raise ValueError("decay constant must be >= 0")
 
-    def entry(self, dk: IntVec, n: IntVec, xi: int, xip: int) -> complex:
-        return self.kernel.get((dk, n, xi, xip), 0.0 + 0.0j)
-
     def check_contract(self, atol: float = 1e-12) -> list[str]:
         """Self-adjointness and the decay bound, on all stored entries."""
         problems = []
         for (dk, n, xi, xip), val in self.kernel.items():
-            mirror = self.entry(tuple(-c for c in dk), n, xip, xi)
+            mirror = self.kernel.get((tuple(-c for c in dk), n, xip, xi), 0)
             if abs(val - np.conj(mirror)) > atol:
                 problems.append(f"not self-adjoint at {(dk, n, xi, xip)}")
             log_bound = (math.log(max(self.decay_const, 1e-300))
@@ -59,17 +59,13 @@ class ShortRangeOperator:
                 problems.append(f"decay bound violated at {(dk, n, xi, xip)}")
         return problems
 
-    @staticmethod
-    def zero() -> "ShortRangeOperator":
-        return ShortRangeOperator(kernel={})
-
 
 @dataclass(frozen=True)
 class LDEParams:
     """Classification thresholds for restricted Green's functions."""
 
     rho: float = 1e-2
-    gamma_target: Optional[float] = None  # default gamma/2 of the instance
+    gamma_target: Optional[float] = None  # decay rate; None means 0.5
     norm_exp: float = 0.75  # norm budget exp(M^norm_exp)
     dist_exp: float = 8.0 / 9.0  # decay measured beyond M^dist_exp
 
@@ -83,10 +79,6 @@ class AssembledOperator:
     region: Region
     indexing: Indexing
     matrix: np.ndarray
-    sigma: float
-    omega: tuple[float, ...]
-    epsilon: float
-    delta: float
 
     @property
     def m(self) -> int:
@@ -98,25 +90,87 @@ class AssembledOperator:
         return float(np.linalg.norm(H - H.conj().T) / denom)
 
 
+def index_sites(sites: Iterable[Site]) -> Indexing:
+    """Indexing of distinct layered sites, in index_region's order."""
+    ordered = sorted(sites, key=lambda s: (s[0], s[1], -s[2]))
+    return Indexing(tuple(ordered), {s: i for i, s in enumerate(ordered)})
+
+
+def _layers(idx: Indexing) -> np.ndarray:
+    return np.fromiter((s[2] for s in idx.sites), dtype=np.int64,
+                       count=idx.m)
+
+
+def diagonal_values(params: ModelParams, omega: Sequence[float],
+                    idx: Indexing, sigma: float = 0.0) -> np.ndarray:
+    """Diagonal of the operator on the indexed sites:
+    -(sigma + k . omega) + mu_n on the + layer, +(sigma + k . omega) + mu_n
+    on the - layer.  mu is evaluated once per distinct n."""
+    pos = idx.positions()
+    b = pos.shape[1] - params.d
+    ns, inverse = np.unique(pos[:, b:], axis=0, return_inverse=True)
+    mu = params.mu_values(ns)[inverse.ravel()]
+    kw = pos[:, :b] @ np.asarray(omega, dtype=float)
+    return np.where(_layers(idx) > 0, -sigma - kw + mu, sigma + kw + mu)
+
+
 def diagonal_value(params: ModelParams, omega: Sequence[float],
                    sigma: float, site: Site) -> float:
-    """Diagonal entry: -(sigma + k . omega) + mu_n on the + layer,
-    +(sigma + k . omega) + mu_n on the - layer."""
-    k, n, xi = site
-    kw = float(np.dot(k, omega))
-    if xi > 0:
-        return -sigma - kw + params.mu_n(n)
-    return sigma + kw + params.mu_n(n)
+    """Diagonal entry at one site (see diagonal_values)."""
+    return float(diagonal_values(params, omega, index_sites([site]), sigma)[0])
+
+
+def _hopping_pairs(idx: Indexing, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with site j = site i + e_s for one of the last d
+    coordinates s of the position (same k and layer).  Sites are encoded
+    as mixed-radix integer keys of (position, layer) with one spare digit
+    per coordinate, so a unit step in n is a fixed offset of the key."""
+    keys = np.column_stack([idx.positions(), _layers(idx)])
+    keys -= keys.min(axis=0)
+    extent = keys.max(axis=0) + 2
+    strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1)
+    code = keys @ strides
+    order = np.argsort(code)
+    ordered = code[order]
+    target = (code[:, None] + strides[-1 - d:-1]).ravel()
+    at = np.minimum(np.searchsorted(ordered, target), code.size - 1)
+    hit = ordered[at] == target
+    return np.flatnonzero(hit) // d, order[at[hit]]
+
+
+def lattice_operator(params: ModelParams, omega: Sequence[float],
+                     idx: Indexing, sigma: float = 0.0) -> sparse.csr_matrix:
+    """D + epsilon * (hopping in n, per layer) on the indexed sites, as a
+    complex CSR matrix.  Hopping reaches only sites inside the indexing
+    (zero Dirichlet condition outside)."""
+    m = idx.m
+    rows, cols = [np.arange(m)], [np.arange(m)]
+    vals = [diagonal_values(params, omega, idx, sigma)]
+    if params.epsilon != 0.0:
+        i, j = _hopping_pairs(idx, params.d)
+        rows += [i, j]
+        cols += [j, i]
+        vals.append(np.full(2 * i.size, params.epsilon))
+    return sparse.csr_matrix(
+        (np.concatenate(vals).astype(complex),
+         (np.concatenate(rows), np.concatenate(cols))), shape=(m, m))
+
+
+def box_operator(params: ModelParams, R: int) -> sparse.csr_matrix:
+    """The single-particle operator mu_n + epsilon * hopping on the box
+    [-R, R]^d, sites in row-major order: the + layer with k = () and
+    sigma = 0."""
+    box = itertools.product(range(-R, R + 1), repeat=params.d)
+    return lattice_operator(params, (), index_sites(((), n, +1)
+                                                    for n in box))
 
 
 def assemble_D(params: ModelParams, omega: Sequence[float], region: Region,
                sigma: float, exclude: Iterable[Site] = ()) -> AssembledOperator:
     """Diagonal part of the operator on the region's layered sites."""
     idx = index_region(region, params.b, exclude)
-    diag = np.array([diagonal_value(params, omega, sigma, s)
-                     for s in idx.sites], dtype=float)
-    return AssembledOperator(region, idx, np.diag(diag).astype(complex),
-                             sigma, tuple(omega), params.epsilon, params.delta)
+    D = np.diag(diagonal_values(params, omega, idx, sigma)).astype(complex)
+    return AssembledOperator(region, idx, D)
 
 
 def assemble_H(params: ModelParams, omega: Sequence[float], region: Region,
@@ -125,32 +179,44 @@ def assemble_H(params: ModelParams, omega: Sequence[float], region: Region,
     """Full operator: diagonal + epsilon * (hopping in n, per layer)
     + delta * S, restricted to the region minus exclusions."""
     idx = index_region(region, params.b, exclude)
-    m = idx.m
-    H = np.zeros((m, m), dtype=complex)
-    for i, s in enumerate(idx.sites):
-        H[i, i] = diagonal_value(params, omega, sigma, s)
-    eps = params.epsilon
-    if eps != 0.0:
-        for i, (k, n, xi) in enumerate(idx.sites):
-            for j_coord in range(len(n)):
-                for step in (-1, 1):
-                    n2 = list(n)
-                    n2[j_coord] += step
-                    neighbor = (k, tuple(n2), xi)
-                    j = idx.index.get(neighbor)
-                    if j is not None:
-                        H[i, j] += eps
+    H = lattice_operator(params, omega, idx, sigma).toarray()
     if S is not None and params.delta != 0.0 and S.kernel:
-        for i, (k, n, xi) in enumerate(idx.sites):
-            for j, (kp, npr, xip) in enumerate(idx.sites):
-                if npr != n:
-                    continue
-                dk = tuple(c - cp for c, cp in zip(k, kp))
-                val = S.entry(dk, n, xi, xip)
-                if val != 0.0:
-                    H[i, j] += params.delta * val
-    return AssembledOperator(region, idx, H, sigma, tuple(omega),
-                             params.epsilon, params.delta)
+        _add_short_range(H, idx, S, params.delta)
+    return AssembledOperator(region, idx, H)
+
+
+def _add_short_range(H: np.ndarray, idx: Indexing, S: ShortRangeOperator,
+                     scale: float) -> None:
+    """H += scale * S in place, one n block at a time: S is diagonal in n
+    and Toeplitz in k, so the (n, n) block gathers the kernel at k - k'.
+    Each block's kernel table (layer, layer', k - k') is wide enough for
+    every pair of the block, so its flat offset splits into a row part and
+    a column part."""
+    b = len(idx.sites[0][0])
+    pos, layer = idx.positions(), (_layers(idx) < 0).astype(np.int64)
+    rows_by_n, keys_by_n = {}, {}
+    for i, (_, n, _) in enumerate(idx.sites):
+        rows_by_n.setdefault(n, []).append(i)
+    for key in S.kernel:
+        keys_by_n.setdefault(key[1], []).append(key)
+    for n, keys in keys_by_n.items():
+        I = np.asarray(rows_by_n.get(n, []), dtype=np.intp)
+        if I.size == 0:
+            continue
+        k = pos[I, :b]
+        R = max(int(np.ptp(k, axis=0).max()),
+                max(sup_norm(key[0]) for key in keys))
+        W = 2 * R + 1
+        table = np.zeros((2, 2) + (W,) * b, dtype=complex)
+        for key in keys:
+            table[(int(key[2] < 0), int(key[3] < 0))
+                  + tuple(c + R for c in key[0])] = S.kernel[key]
+        strides = W ** np.arange(b - 1, -1, -1)
+        rows = 2 * W ** b * layer[I] + k @ strides + R * strides.sum()
+        cols = W ** b * layer[I] - k @ strides
+        block = table.ravel()[rows[:, None] + cols[None, :]]
+        block *= scale
+        H[np.ix_(I, I)] += block
 
 
 # -- Green's functions -------------------------------------------------
@@ -185,12 +251,11 @@ _COND_MAX = 1e14
 _RESIDUAL_RTOL = 1e-10
 
 
-def _scale(region: Region, lde: LDEParams,
-           gamma: float) -> tuple[int, float, float]:
+def _scale(region: Region, lde: LDEParams) -> tuple[int, float, float]:
     """A region's scale M (its diameter), norm budget exp(M^norm_exp) and
-    target decay rate."""
+    target decay rate (0.5 unless lde.gamma_target is set)."""
     M = max(region.diameter(), 1)
-    target = lde.gamma_target if lde.gamma_target is not None else gamma / 2.0
+    target = lde.gamma_target if lde.gamma_target is not None else 0.5
     return M, math.exp(M ** lde.norm_exp), target
 
 
@@ -222,8 +287,8 @@ def _classify(cond, residual, g_fro, norm, g_far, norm_budget: float,
     return inverted, good
 
 
-def green(op: AssembledOperator, lde: LDEParams = LDEParams(),
-          gamma: float = 1.0) -> tuple[np.ndarray, GreenReport]:
+def green(op: AssembledOperator,
+          lde: LDEParams = LDEParams()) -> tuple[np.ndarray, GreenReport]:
     """Inverse of the assembled operator with a decay/norm report.
 
     The region diameter plays the role of the scale M: the report is good
@@ -238,7 +303,7 @@ def green(op: AssembledOperator, lde: LDEParams = LDEParams(),
         norm = 1.0 / s[-1]
         G = (Vh.conj().T / s) @ U.conj().T
         residual = np.linalg.norm(H @ G - np.eye(H.shape[0]))
-    M, norm_budget, gamma_target = _scale(op.region, lde, gamma)
+    M, norm_budget, gamma_target = _scale(op.region, lde)
     rows, cols, d_far = _far_pairs(op.indexing.positions(), M ** lde.dist_exp)
     g_far = np.abs(G[rows, cols])
     inverted, good = _classify(cond, residual, np.linalg.norm(G), norm, g_far,
@@ -322,7 +387,6 @@ def lde_region_family(params: ModelParams, M: int,
     b, d = params.b, params.d
     shapes = enumerate_elementary_regions(b + d, M)
     out = []
-    import itertools
     for n0 in itertools.product(range(-n_range, n_range + 1), repeat=d):
         shift = (0,) * b + n0
         for si, shape in enumerate(shapes):
@@ -387,11 +451,11 @@ def _sweep_region(op: AssembledOperator, sigmas: np.ndarray,
     there, and so within every envelope.
     """
     H0 = op.matrix
-    xi = np.array([site[2] for site in op.indexing.sites])
+    xi = _layers(op.indexing)
     plus, minus = np.flatnonzero(xi > 0), np.flatnonzero(xi < 0)
     if np.any(H0.imag != 0.0) or np.any(H0[np.ix_(plus, minus)] != 0.0):
         raise ValueError("sweep needs real, decoupled +/- layers")
-    M, norm_budget, gamma_target = _scale(op.region, lde, 1.0)
+    M, norm_budget, gamma_target = _scale(op.region, lde)
     positions = op.indexing.positions()
     layers = []  # (sign, lam, Q, block, far rows, far cols)
     envelopes = []
@@ -435,8 +499,7 @@ def min_diagonal_gap(params: ModelParams, omega: Sequence[float],
                      exclude: Iterable[Site] = ()) -> float:
     """Smallest |xi (sigma + k . omega) + mu_n| over the region's sites."""
     idx = index_region(region, params.b, exclude)
-    return min(abs(diagonal_value(params, omega, sigma, s))
-               for s in idx.sites)
+    return float(np.abs(diagonal_values(params, omega, idx, sigma)).min())
 
 
 # -- perturbation stability --------------------------------------------
@@ -544,15 +607,9 @@ def linear_localization_diagnostic(params: ModelParams,
     """
     if params.d != 1:
         raise ValueError("diagnostic implemented for d = 1")
-    ns = np.arange(-radius, radius + 1)
-    m = ns.size
-    H = np.zeros((m, m))
-    for i, n in enumerate(ns):
-        H[i, i] = params.mu_n((int(n),))
+    H = box_operator(params, radius).toarray().real
+    m = H.shape[0]
     eps = params.epsilon
-    for i in range(m - 1):
-        H[i, i + 1] = eps
-        H[i + 1, i] = eps
     _, vecs = np.linalg.eigh(H)
     rates = np.empty(m)
     for j in range(m):

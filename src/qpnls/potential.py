@@ -53,10 +53,16 @@ class TrigPoly:
         th = np.asarray(theta, dtype=float)
         if th.shape != (self.d,):
             raise ValueError(f"theta must have shape ({self.d},)")
-        total = 0.0
+        return float(self.values(th[None, :])[0])
+
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        """V at each row of an (m, d) array of angles."""
+        th = np.asarray(thetas, dtype=float)
+        total = np.zeros(th.shape[0])
         for l, coeff, ph in zip(self.gamma, self.v, self.phases):
-            total += coeff * np.cos(2.0 * np.pi * np.dot(l, th) + ph)
-        return float(total)
+            total += coeff * np.cos(
+                2.0 * np.pi * (th @ np.asarray(l, dtype=float)) + ph)
+        return total
 
     def coeff_bound(self) -> float:
         return float(sum(abs(c) for c in self.v))
@@ -194,6 +200,12 @@ class ModelParams:
 
     def mu_n(self, n: Sequence[int]) -> float:
         return mu(self.V, self.alpha, self.theta, n)
+
+    def mu_values(self, ns: np.ndarray) -> np.ndarray:
+        """mu_n for each row of an (m, d) integer array of sites n."""
+        return self.V.values(np.asarray(self.theta)
+                             + np.asarray(ns, dtype=float)
+                             * np.asarray(self.alpha))
 
     def to_record(self) -> dict:
         return {

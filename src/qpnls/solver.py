@@ -10,15 +10,15 @@ growing regions.  All nonlinear terms are convolutions in k at fixed n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.signal
 
-from .lattice import Region, Site, frozen_mode_sites, sup_norm
-from .linop import (AssembledOperator, ShortRangeOperator,
-                    SingularOperatorError, assemble_H)
+from .lattice import Indexing, Region, Site, frozen_mode_sites, sup_norm
+from .linop import (ShortRangeOperator, SingularOperatorError, assemble_H,
+                    index_sites, lattice_operator)
 from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
@@ -68,9 +68,6 @@ class FourierState:
             return 0
         return max(sup_norm(k) for k, _, _ in self.coeffs)
 
-    def n_support(self) -> set:
-        return {n for _, n, _ in self.coeffs}
-
     def conjugacy_defect(self) -> float:
         worst = 0.0
         for (k, n, xi), val in self.coeffs.items():
@@ -84,9 +81,6 @@ class FourierState:
             k, n, xi = site
             self.coeffs[(tuple(-c for c in k), n, -xi)] = complex(
                 np.conj(value))
-
-    def sup_norm_value(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
 
 def anchor_sites(params: ModelParams) -> dict:
@@ -133,21 +127,36 @@ def symmetrize(state: FourierState) -> FourierState:
 # -- convolutions in k at fixed n --------------------------------------
 
 
-def _layer_array(state: FourierState, n: IntVec, xi: int,
-                 R: int) -> np.ndarray:
-    """Dense k-array of one layer at fixed n, k in [-R, R]^b."""
+def _layer_arrays(state: FourierState, R: int) -> dict:
+    """Dense k-arrays (k in [-R, R]^b) of both layers at every n of the
+    support, as n -> (plus, minus), from one pass over the coefficients."""
     shape = (2 * R + 1,) * state.b
-    arr = np.zeros(shape, dtype=complex)
-    for (k, nn, x), val in state.coeffs.items():
-        if nn == n and x == xi and sup_norm(k) <= R:
-            idx = tuple(c + R for c in k)
-            arr[idx] = val
-    return arr
+    out = {}
+    for (k, n, xi), val in state.coeffs.items():
+        if n not in out:
+            out[n] = (np.zeros(shape, dtype=complex),
+                      np.zeros(shape, dtype=complex))
+        out[n][0 if xi > 0 else 1][tuple(c + R for c in k)] = val
+    return out
 
 
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     method = "direct" if max(a.size, b.size) < 256 else "auto"
     return scipy.signal.convolve(a, b, mode="full", method=method)
+
+
+def _entries(arr: np.ndarray, R: int):
+    """(k, value) for the nonzero entries of a k-array centered at R."""
+    nz = np.argwhere(np.abs(arr) > 0)
+    return zip(map(tuple, (nz - R).tolist()), arr[tuple(nz.T)].tolist())
+
+
+def _uv_powers(u: np.ndarray, v: np.ndarray, p: int) -> list[np.ndarray]:
+    """[(u*v)^1, ..., (u*v)^p], powers under convolution in k."""
+    powers = [_conv(u, v)]
+    for _ in range(p - 1):
+        powers.append(_conv(powers[-1], powers[0]))
+    return powers
 
 
 def convolution_nonlinearity(state: FourierState, p: int) -> dict:
@@ -158,53 +167,37 @@ def convolution_nonlinearity(state: FourierState, p: int) -> dict:
     (2p+1) times the input support.
     """
     R = state.k_radius()
+    Rout = R * (2 * p + 1)
     out = {}
-    for n in state.n_support():
-        u = _layer_array(state, n, +1, R)
-        v = _layer_array(state, n, -1, R)
-        if not (u.any() or v.any()):
-            continue
-        uv = _conv(u, v)
-        w = uv
-        for _ in range(p - 1):
-            w = _conv(w, uv)
-        plus = _conv(w, u)
-        minus = _conv(w, v)
-        Rout = R * (2 * p + 1)
-        for arr, xi in ((plus, +1), (minus, -1)):
-            nz = np.argwhere(np.abs(arr) > 0)
-            for idx in nz:
-                k = tuple(int(c) - Rout for c in idx)
-                out[(k, n, xi)] = arr[tuple(idx)]
-    return out
-
-
-def convolution_power(state: FourierState, p: int) -> dict:
-    """(u*v)^p per fixed n, as a map n -> centered dense k-array."""
-    R = state.k_radius()
-    out = {}
-    for n in state.n_support():
-        u = _layer_array(state, n, +1, R)
-        v = _layer_array(state, n, -1, R)
-        uv = _conv(u, v)
-        w = uv
-        for _ in range(p - 1):
-            w = _conv(w, uv)
-        out[n] = w
-    return out
-
-
-def _laplacian_neighbors(n: IntVec) -> list[IntVec]:
-    out = []
-    for j in range(len(n)):
-        for step in (-1, 1):
-            m = list(n)
-            m[j] += step
-            out.append(tuple(m))
+    for n, (u, v) in _layer_arrays(state, R).items():
+        w = _uv_powers(u, v, p)[-1]
+        for arr, xi in ((_conv(w, u), +1), (_conv(w, v), -1)):
+            for k, val in _entries(arr, Rout):
+                out[(k, n, xi)] = val
     return out
 
 
 # -- residual ----------------------------------------------------------
+
+
+def _hopping_halo(sites: Iterable[Site]) -> set:
+    """The sites one unit step in n away from the given ones."""
+    return {(k, n[:j] + (n[j] + step,) + n[j + 1:], xi)
+            for k, n, xi in sites for j in range(len(n)) for step in (-1, 1)}
+
+
+def _lattice_rows(state: FourierState, omega: Sequence[float],
+                  params: ModelParams, nl: dict,
+                  rows: set) -> tuple[Indexing, np.ndarray]:
+    """(D + eps hopping) u + delta nl on a set of rows.  A row's value is
+    exact when the rows hold each of its neighbours in the support."""
+    idx = index_sites(rows)
+    u = np.fromiter(map(state.get, idx.sites), dtype=complex, count=idx.m)
+    values = lattice_operator(params, omega, idx) @ u
+    if params.delta != 0.0:
+        values += params.delta * np.fromiter(
+            (nl.get(s, 0.0) for s in idx.sites), dtype=complex, count=idx.m)
+    return idx, values
 
 
 def evaluate_F(state: FourierState, omega: Sequence[float],
@@ -214,33 +207,19 @@ def evaluate_F(state: FourierState, omega: Sequence[float],
     Plus-layer rows: (-k . omega + mu_n) u + eps (hopping in n) u
     + delta (u*v)^p * u; minus-layer rows are the conjugate mirror.
     Evaluated on the state's support, the nonlinearity support, and one
-    hopping halo in n.
+    hopping halo in n; only nonzero entries are returned.
     """
-    om = np.asarray(omega, dtype=float)
+    if not state.coeffs:
+        return {}
     nl = (convolution_nonlinearity(state, params.p)
-          if params.delta != 0.0 and state.coeffs else {})
+          if params.delta != 0.0 else {})
     rows = set(state.coeffs) | set(nl)
     if params.epsilon != 0.0:
-        for k, n, xi in list(state.coeffs):
-            for m in _laplacian_neighbors(n):
-                rows.add((k, m, xi))
-    residual = {}
-    mu_cache = {}
-    for site in rows:
-        k, n, xi = site
-        if n not in mu_cache:
-            mu_cache[n] = params.mu_n(n)
-        kw = float(np.dot(k, om))
-        diag = (-kw + mu_cache[n]) if xi > 0 else (kw + mu_cache[n])
-        val = diag * state.get(site)
-        if params.epsilon != 0.0:
-            hop = sum(state.get((k, m, xi)) for m in _laplacian_neighbors(n))
-            val += params.epsilon * hop
-        if params.delta != 0.0:
-            val += params.delta * nl.get(site, 0.0)
-        if val != 0.0:
-            residual[site] = val
-    return residual
+        rows |= _hopping_halo(state.coeffs)
+    idx, values = _lattice_rows(state, omega, params, nl, rows)
+    nz = np.flatnonzero(values)
+    return dict(zip(map(idx.sites.__getitem__, nz.tolist()),
+                    values[nz].tolist()))
 
 
 def residual_sup(residual: dict, exclude: Iterable[Site] = ()) -> float:
@@ -257,28 +236,23 @@ def solve_Q(state: FourierState, params: ModelParams,
             tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
     """Solve the equations at the excited sites for the frequencies.
 
-    omega_l = omega0_l + (eps hopping + delta nonlinearity at the anchor)
-    / a_l; the right-hand side does not depend on omega, so the fixed
-    point is reached immediately and later sweeps only confirm it.
+    The residual at the anchor (e_l, n_l, +) is (omega0_l - omega_l) a_l
+    + (eps hopping + delta nonlinearity at the anchor), so each sweep
+    sets omega_l += Re F_anchor / a_l.  The hopping and nonlinearity do
+    not depend on omega: the fixed point is reached immediately and later
+    sweeps only confirm it.
     """
-    omega0 = base_frequencies(params)
     om = np.asarray(omega_guess, dtype=float) if omega_guess is not None \
-        else omega0.copy()
+        else base_frequencies(params)
     nl = (convolution_nonlinearity(state, params.p)
           if params.delta != 0.0 else {})
+    anchors = list(anchor_sites(params))
+    rows = set(anchors) | _hopping_halo(anchors)
+    a = np.asarray(params.a, dtype=float)
     for _ in range(max_iter):
-        new = omega0.copy()
-        for l, n in enumerate(params.sites):
-            e = tuple(1 if j == l else 0 for j in range(params.b))
-            site = (e, tuple(n), +1)
-            corr = 0.0 + 0.0j
-            if params.epsilon != 0.0:
-                corr += params.epsilon * sum(
-                    state.get((e, m, +1))
-                    for m in _laplacian_neighbors(tuple(n)))
-            if params.delta != 0.0:
-                corr += params.delta * nl.get(site, 0.0)
-            new[l] += float(np.real(corr)) / params.a[l]
+        idx, values = _lattice_rows(state, om, params, nl, rows)
+        F = np.array([values[idx[site]] for site in anchors])
+        new = om + F.real / a
         if np.max(np.abs(new - om)) < tol:
             return new
         om = new
@@ -298,40 +272,28 @@ def linearization_coupling(state: FourierState, params: ModelParams,
     carry p (u*v)^(p-1) * u * u and its conjugate mirror.
     """
     p = params.p
-    R = state.k_radius()
+    layers = _layer_arrays(state, state.k_radius())
     kernel = {}
     for n in n_values:
-        u = _layer_array(state, n, +1, R)
-        v = _layer_array(state, n, -1, R)
-        uv = _conv(u, v)
-        w = uv
-        for _ in range(p - 1):
-            w = _conv(w, uv)
-        if p >= 2:
-            wm = uv
-            for _ in range(p - 2):
-                wm = _conv(wm, uv)
-        else:
-            wm = None
+        if n not in layers:
+            continue
+        u, v = layers[n]
+        powers = _uv_powers(u, v, p)
         uu = _conv(u, u)
         vv = _conv(v, v)
-        if wm is not None:
-            uu = _conv(wm, uu)
-            vv = _conv(wm, vv)
+        if p >= 2:
+            uu = _conv(powers[-2], uu)
+            vv = _conv(powers[-2], vv)
         blocks = {
-            (+1, +1): (p + 1) * w,
-            (-1, -1): (p + 1) * w,
+            (+1, +1): (p + 1) * powers[-1],
+            (-1, -1): (p + 1) * powers[-1],
             (+1, -1): p * uu,
             (-1, +1): p * vv,
         }
         for (xi, xip), arr in blocks.items():
-            Rb = (arr.shape[0] - 1) // 2
-            nz = np.argwhere(np.abs(arr) > 0)
-            for idx in nz:
-                dk = tuple(int(c) - Rb for c in idx)
-                if sup_norm(dk) > dk_radius:
-                    continue
-                kernel[(dk, n, xi, xip)] = arr[tuple(idx)]
+            for dk, val in _entries(arr, (arr.shape[0] - 1) // 2):
+                if sup_norm(dk) <= dk_radius:
+                    kernel[(dk, n, xi, xip)] = val
     return ShortRangeOperator(kernel=kernel, decay_const=1e6,
                               decay_rate=1.0)
 

@@ -96,6 +96,40 @@ class TestIntegrate:
         traj = integrate(u0, p, box, T=5.0, dt=1e-3, store_every=10 ** 9)
         assert traj.norm_drift <= 1e-8 * np.linalg.norm(u0)
 
+    def test_d2_rk4_step_oracle(self):
+        p = ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1),), v=(1.0,)),
+                        alpha=(0.4142135623, 0.7320508076),
+                        theta=(0.17, 0.05), epsilon=0.05, delta=0.02, p=1,
+                        sites=((0, 0),), a=(1.0,))
+        box = LatticeBox(2, 2)
+        rng = np.random.default_rng(37)
+        u0 = (rng.standard_normal(box.shape)
+              + 1j * rng.standard_normal(box.shape))
+        dt = 0.01
+
+        def rhs(u):
+            out = np.zeros_like(u)
+            for n in box.sites():
+                i = box.index(n)
+                hop = 0.0
+                for j in range(2):
+                    for step in (-1, 1):
+                        m = list(n)
+                        m[j] += step
+                        if box.contains(tuple(m)):
+                            hop += u[box.index(tuple(m))]
+                out[i] = 1j * (p.mu_n(n) * u[i] + p.epsilon * hop
+                               + p.delta * abs(u[i]) ** 2 * u[i])
+            return out
+
+        k1 = rhs(u0)
+        k2 = rhs(u0 + 0.5 * dt * k1)
+        k3 = rhs(u0 + 0.5 * dt * k2)
+        k4 = rhs(u0 + dt * k3)
+        want = u0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        traj = integrate(u0, p, box, T=dt, dt=dt)
+        assert np.abs(traj.states[-1] - want).max() <= 1e-14
+
     def test_blow_up_detection(self):
         # RK4 far outside its stability region amplifies every step
         p = ModelParams(V=TrigPoly(d=1, K=1, gamma=((1,),), v=(0.0,)),

@@ -114,6 +114,21 @@ class TestStages:
         assert manifest["stages"]["evolve"]["status"] == "pass"
         assert len(calls) == 1
 
+    def test_gamma_target_null_means_half(self, tmp_path):
+        # at epsilon = 0.3 the decay test binds: 0.6 changes the sweep
+        outs = []
+        for value in ("null", "0.5", "0.6"):
+            out = tmp_path / value
+            assert main(["ldt", "--set", "params.epsilon=0.3", "--set",
+                         f"lde.gamma_target={value}",
+                         "--out", str(out)]) == EXIT_OK
+            outs.append(out)
+        null, half, other = outs
+        for name in ("ldt_sweep.csv", "ldt_summary.json"):
+            assert (null / name).read_bytes() == (half / name).read_bytes()
+        assert ((null / "ldt_sweep.csv").read_bytes()
+                != (other / "ldt_sweep.csv").read_bytes())
+
     def test_unknown_command(self, tmp_path):
         with pytest.raises(ConfigError):
             run(light_config(), "bogus", str(tmp_path))

@@ -111,6 +111,40 @@ class TestAssembleH:
         assert D[i, i] == pytest.approx(p.delta * 0.5)
         assert D[i, j] == pytest.approx(p.delta * 0.25)
 
+    def test_b2_coupling_per_entry_oracle(self):
+        from qpnls.solver import (FourierState, linearization_coupling,
+                                  symmetrize)
+        p = ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
+                        theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
+                        sites=((0,), (2,)), a=(1.5, 1.2))
+        om = base_frequencies(p)
+        rng = np.random.default_rng(23)
+        coeffs = {}
+        for _ in range(12):
+            k = tuple(int(c) for c in rng.integers(-2, 3, 2))
+            n = (int(rng.integers(-2, 3)),)
+            coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * 0.1
+        state = symmetrize(FourierState(coeffs, 2, 1, {}))
+        region = Region.cube(3, 2)
+        S = linearization_coupling(state, p, {y[2:] for y in region.sites()},
+                                   dk_radius=3)
+        assert S.kernel
+        excl = frozen_mode_sites(p.sites)
+        sigma = 0.13
+        op = assemble_H(p, om, region, sigma, S, exclude=excl)
+        sites = op.indexing.sites
+        hand = np.zeros((op.m, op.m), dtype=complex)
+        for i, (k, n, xi) in enumerate(sites):
+            kw = k[0] * om[0] + k[1] * om[1]
+            hand[i, i] = xi * (-sigma - kw) + p.mu_n(n)
+            for j, (kp, np_, xip) in enumerate(sites):
+                if kp == k and xip == xi and abs(np_[0] - n[0]) == 1:
+                    hand[i, j] += p.epsilon
+                if np_ == n:
+                    dk = (k[0] - kp[0], k[1] - kp[1])
+                    hand[i, j] += p.delta * S.kernel.get((dk, n, xi, xip), 0)
+        assert np.abs(op.matrix - hand).max() <= 1e-14
+
     def test_contract_violations_detected(self):
         bad = ShortRangeOperator(kernel={((1,), (0,), 1, 1): 1.0})
         problems = bad.check_contract()

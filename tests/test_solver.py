@@ -110,6 +110,45 @@ class TestEvaluateF:
             mirror = res.get((tuple(-c for c in k), n, -xi), 0.0)
             assert v == pytest.approx(np.conj(mirror), abs=1e-14)
 
+    def test_d2_brute_force_neighbour_sum(self):
+        p = ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1), (1, -1)),
+                                   v=(1.0, 0.3)),
+                        alpha=(0.4142135623, 0.7320508076),
+                        theta=(0.17, 0.05), epsilon=2e-3, delta=1e-3, p=1,
+                        sites=((0, 0),), a=(1.5,))
+        om = base_frequencies(p) + 1e-4
+        rng = np.random.default_rng(29)
+        coeffs = {}
+        for _ in range(10):
+            k = (int(rng.integers(-2, 3)),)
+            n = tuple(int(c) for c in rng.integers(-2, 3, 2))
+            coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * 0.1
+        state = symmetrize(FourierState(coeffs, 1, 2, anchor_sites(p)))
+        res = evaluate_F(state, om, p)
+        nl = brute_force_nonlinearity(state, p.p)
+        rows = set(state.coeffs) | set(nl)
+        for k, n, xi in state.coeffs:
+            for j in range(2):
+                for step in (-1, 1):
+                    m = list(n)
+                    m[j] += step
+                    rows.add((k, tuple(m), xi))
+        want = {}
+        for site in rows:
+            k, n, xi = site
+            val = (xi * (-k[0] * om[0]) + p.mu_n(n)) * state.get(site)
+            for j in range(2):
+                for step in (-1, 1):
+                    m = list(n)
+                    m[j] += step
+                    val += p.epsilon * state.get((k, tuple(m), xi))
+            val += p.delta * nl.get(site, 0.0)
+            if abs(val) > 1e-15:
+                want[site] = val
+        assert set(want) <= set(res)
+        for site, val in res.items():
+            assert val == pytest.approx(want.get(site, 0.0), abs=1e-14)
+
 
 class TestSolveQ:
     def test_first_order_shift(self):

@@ -27,17 +27,13 @@ class DiophParams:
     """Explicit stand-ins for the abstract constants of the small-divisor
     estimates.  All exponents are configurable; defaults are desk-scale."""
 
-    eta: float = 0.1
     C1_exp: float = 8.0
-    c1_exp: float = 0.001
     threshold_exp: Optional[float] = None  # default 1/(8b), filled per use
     L: int = 8
 
     def __post_init__(self):
-        if not (0.0 < self.eta < 1.0):
-            raise ValueError("eta must lie in (0,1)")
-        if self.C1_exp <= 0 or self.c1_exp <= 0:
-            raise ValueError("exponents must be positive")
+        if self.C1_exp <= 0:
+            raise ValueError("C1_exp must be positive")
         if self.L < 1:
             raise ValueError("L must be >= 1")
 

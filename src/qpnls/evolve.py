@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .lattice import box_sup_norms, recenter
 from .linop import box_operator
 from .potential import ModelParams
 from .solver import Solution
@@ -47,17 +48,15 @@ class LatticeBox:
 def reconstruct(solution: Solution, t: float,
                 box: Optional[LatticeBox] = None) -> tuple[LatticeBox, np.ndarray]:
     """Field u(t, n) = sum_k u_hat(k, n) exp(i k . omega t) on a box."""
+    state = solution.state
     if box is None:
-        R = max(solution.state.support_radius(), 1)
-        box = LatticeBox(solution.params.d, R)
-    om = np.asarray(solution.omega, dtype=float)
-    field = np.zeros(box.shape, dtype=complex)
-    for (k, n, xi), val in solution.state.coeffs.items():
-        if xi < 0 or not box.contains(n):
-            continue
-        phase = np.exp(1j * float(np.dot(k, om)) * t)
-        field[box.index(n)] += val * phase
-    return box, field
+        box = LatticeBox(state.d, max(state.support_radius(), 1))
+    Rk, Rn = state.radii
+    k = np.indices((2 * Rk + 1,) * state.b).reshape(state.b, -1).T - Rk
+    phase = np.exp(1j * (k @ np.asarray(solution.omega, dtype=float)) * t)
+    field = phase @ state.amp[..., 0].reshape(phase.size, -1)
+    return box, recenter(field.reshape((2 * Rn + 1,) * state.d),
+                         (box.R,) * box.d)
 
 
 @dataclass(frozen=True)
@@ -158,11 +157,8 @@ class VerifyReport:
 
 def tail_mass(field: np.ndarray, box: LatticeBox, R: int) -> float:
     """Squared amplitude beyond sup-norm radius R."""
-    total = 0.0
-    for n in box.sites():
-        if max(abs(c) for c in n) > R:
-            total += abs(field[box.index(n)]) ** 2
-    return total
+    far = box_sup_norms(box.R, box.d) > R
+    return float(np.sum(np.abs(field[far]) ** 2))
 
 
 def verify(solution: Solution, T: float, dt: float,

@@ -35,10 +35,8 @@ EXIT_ACCEPTANCE = 4
 
 DEFAULT_CONFIG = {
     "params": potential.reference_params().to_record(),
-    "dioph": {"eta": 0.1, "C1_exp": 8.0, "c1_exp": 0.001,
-              "threshold_exp": 3.0, "L": 4},
-    "lde": {"rho": 0.01, "gamma_target": 0.5, "norm_exp": 0.75,
-            "dist_exp": 8.0 / 9.0},
+    "dioph": {"C1_exp": 8.0, "threshold_exp": 3.0, "L": 4},
+    "lde": {"gamma_target": 0.5, "norm_exp": 0.75, "dist_exp": 8.0 / 9.0},
     "solver": {"M": 2, "r_max": 10, "tol": 1e-11, "N_cap": 16,
                "q_before_p": True},
     "evolve": {"T": 10.0, "dt": 1e-3, "tail_radius": None},
@@ -119,13 +117,9 @@ def validate_config(config: dict) -> potential.ModelParams:
                           + "; ".join(report.failures))
     if "seed" not in config:
         raise ConfigError("config must carry a seed")
-    d = config.get("dioph", {})
     try:
-        diophantine.DiophParams(
-            eta=d.get("eta", 0.1), C1_exp=d.get("C1_exp", 8.0),
-            c1_exp=d.get("c1_exp", 0.001),
-            threshold_exp=d.get("threshold_exp"), L=d.get("L", 4))
-    except ValueError as exc:
+        _dioph_params(config)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid Diophantine parameters: {exc}") from exc
     for section, key, integer, low, strict, optional in _STAGE_FIELDS:
         _check_field(config, section, key, integer, low, strict, optional)
@@ -184,12 +178,18 @@ def _check_field(config: dict, section: str, key: str, integer: bool,
                           f"{bound}")
 
 
+def _dioph_params(config: dict) -> diophantine.DiophParams:
+    dc = config.get("dioph", {})
+    return diophantine.DiophParams(C1_exp=dc.get("C1_exp", 8.0),
+                                   threshold_exp=dc.get("threshold_exp"),
+                                   L=int(dc.get("L", 4)))
+
+
 def _lde_params(config: dict) -> linop.LDEParams:
     l = config.get("lde", {})
-    return linop.LDEParams(
-        rho=l.get("rho", 0.01), gamma_target=l.get("gamma_target"),
-        norm_exp=l.get("norm_exp", 0.75),
-        dist_exp=l.get("dist_exp", 8.0 / 9.0))
+    return linop.LDEParams(gamma_target=l.get("gamma_target"),
+                           norm_exp=l.get("norm_exp", 0.75),
+                           dist_exp=l.get("dist_exp", 8.0 / 9.0))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -217,12 +217,7 @@ def stage_regions(config: dict, out: Path) -> dict:
 
 def stage_dioph(config: dict, out: Path) -> dict:
     params = potential.ModelParams.from_record(config["params"])
-    dc = config["dioph"]
-    dp = diophantine.DiophParams(
-        eta=dc.get("eta", 0.1), C1_exp=dc.get("C1_exp", 8.0),
-        c1_exp=dc.get("c1_exp", 0.001),
-        threshold_exp=dc.get("threshold_exp"), L=int(dc.get("L", 4)))
-    report = diophantine.check_dc_conditions(params, dp)
+    report = diophantine.check_dc_conditions(params, _dioph_params(config))
     rows = [[v[0], json.dumps(v[1]), repr(v[2]), repr(v[3])]
             for v in report.violations]
     _write_csv(out / "dioph_violations.csv",

@@ -352,21 +352,47 @@ class Indexing:
         return self.index[site]
 
 
+def index_sites(sites: Iterable[Site]) -> Indexing:
+    """Indexing of distinct layered sites, ordered on (k, n) with + before
+    -: the C order of a centered box array whose layer axis comes last."""
+    ordered = sorted(sites, key=lambda s: (s[0], s[1], -s[2]))
+    return Indexing(tuple(ordered), {s: i for i, s in enumerate(ordered)})
+
+
 def index_region(region: Region, b: int,
                  exclude: Iterable[Site] = ()) -> Indexing:
     """Index the +/- layered sites of a region, minus an excluded site set."""
-    excl = frozenset(exclude)
     sites = []
     for y in region.sites():
         k, n = y[:b], y[b:]
-        for xi in (+1, -1):
-            s = (k, n, xi)
-            if s not in excl:
-                sites.append(s)
+        sites += ((k, n, +1), (k, n, -1))
+    excl = frozenset(exclude)
+    if excl:
+        sites = [s for s in sites if s not in excl]
     if not sites:
         raise EmptyRegionError("no sites left after exclusion")
-    sites.sort(key=lambda s: (s[0], s[1], 0 if s[2] > 0 else 1))
-    return Indexing(tuple(sites), {s: i for i, s in enumerate(sites)})
+    return index_sites(sites)
+
+
+# -- centered box arrays -----------------------------------------------
+
+
+def box_sup_norms(R: int, r: int) -> np.ndarray:
+    """Sup norm of every point of the box [-R, R]^r, shape (2R+1,)*r."""
+    return np.abs(np.indices((2 * R + 1,) * r) - R).max(axis=0, initial=0)
+
+
+def recenter(arr: np.ndarray, radii: Iterable[int]) -> np.ndarray:
+    """A copy of an array centered at the origin, its leading axes cropped
+    or zero-padded to the given radii; trailing axes are kept."""
+    radii = tuple(radii)
+    old = [(s - 1) // 2 for s in arr.shape[:len(radii)]]
+    out = np.zeros(tuple(2 * r + 1 for r in radii) + arr.shape[len(radii):],
+                   dtype=arr.dtype)
+    keep = [min(r, o) for r, o in zip(radii, old)]
+    out[tuple(slice(r - c, r + c + 1) for r, c in zip(radii, keep))] = \
+        arr[tuple(slice(o - c, o + c + 1) for o, c in zip(old, keep))]
+    return out
 
 
 # -- generalized-region width ------------------------------------------

@@ -15,14 +15,18 @@ decouple and each is real symmetric, shifted by -+ sigma.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .lattice import Indexing, Region, Site, index_region, sup_norm
+from .lattice import (Indexing, Region, Site, index_region, index_sites,
+                      sup_norm)
 from .potential import ModelParams
 
 
@@ -64,14 +68,9 @@ class ShortRangeOperator:
 class LDEParams:
     """Classification thresholds for restricted Green's functions."""
 
-    rho: float = 1e-2
     gamma_target: Optional[float] = None  # decay rate; None means 0.5
     norm_exp: float = 0.75  # norm budget exp(M^norm_exp)
     dist_exp: float = 8.0 / 9.0  # decay measured beyond M^dist_exp
-
-    def __post_init__(self):
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError("rho must lie in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -88,12 +87,6 @@ class AssembledOperator:
         H = self.matrix
         denom = max(np.linalg.norm(H), 1e-300)
         return float(np.linalg.norm(H - H.conj().T) / denom)
-
-
-def index_sites(sites: Iterable[Site]) -> Indexing:
-    """Indexing of distinct layered sites, in index_region's order."""
-    ordered = sorted(sites, key=lambda s: (s[0], s[1], -s[2]))
-    return Indexing(tuple(ordered), {s: i for i, s in enumerate(ordered)})
 
 
 def _layers(idx: Indexing) -> np.ndarray:
@@ -418,17 +411,11 @@ def sigma_sweep(params: ModelParams, omega: Sequence[float],
         worst[live[~_sweep_region(op, sigmas[live], lde)]] = ri
     good = worst < 0
     bad_fraction = float((~good).mean()) if sigmas.size else 0.0
-    intervals = []
-    start = None
-    for si in range(sigmas.size):
-        if not good[si] and start is None:
-            start = sigmas[si]
-        if good[si] and start is not None:
-            intervals.append((float(start), float(sigmas[si - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(sigmas[-1])))
-    return SweepStats(sigmas, good, bad_fraction, tuple(intervals),
+    # Maximal runs [a, b) of bad sigmas, from the steps of the bad mask.
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], ~good, [0]))))
+    intervals = tuple((float(sigmas[a]), float(sigmas[b - 1]))
+                      for a, b in zip(edges[::2], edges[1::2]))
+    return SweepStats(sigmas, good, bad_fraction, intervals,
                       tuple(int(w) for w in worst))
 
 
@@ -563,13 +550,10 @@ def perturbation_stability(A: np.ndarray, B: np.ndarray,
 def dump_matrix(path, matrix: np.ndarray) -> None:
     """Dense binary dump: row-major little-endian complex128 plus a JSON
     sidecar describing shape and layout."""
-    import json
-    from pathlib import Path
     path = Path(path)
     arr = np.ascontiguousarray(matrix, dtype="<c16")
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(arr.tobytes(order="C"))
-    import os
     os.replace(tmp, path)
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(json.dumps(
@@ -578,8 +562,6 @@ def dump_matrix(path, matrix: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    import json
-    from pathlib import Path
     path = Path(path)
     meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     data = np.frombuffer(path.read_bytes(), dtype="<c16")

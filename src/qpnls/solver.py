@@ -9,16 +9,18 @@ growing regions.  All nonlinear terms are convolutions in k at fixed n.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.signal
 
-from .lattice import Indexing, Region, Site, frozen_mode_sites, sup_norm
+from .lattice import (Indexing, Region, Site, box_sup_norms,
+                      frozen_mode_sites, index_region, index_sites, recenter,
+                      sup_norm)
 from .linop import (ShortRangeOperator, SingularOperatorError, assemble_H,
-                    index_sites, lattice_operator)
+                    lattice_operator)
 from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
@@ -27,60 +29,100 @@ IntVec = tuple[int, ...]
 # -- state -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FourierState:
-    """Fourier amplitudes keyed by layered site.
+    """Fourier amplitudes on a layered box centered at the origin.
 
-    The minus layer mirrors the plus layer through conjugacy
+    amp has shape (2Rk+1,)*b + (2Rn+1,)*d + (2,): k axes, n axes, then the
+    layer axis with + first, so its C order is index_region's site order
+    on the box.  The minus layer mirrors the plus layer through conjugacy
     (coefficient at (k, n, -) equals the conjugate at (-k, n, +)), and
-    the anchor amplitudes at the excited sites are held exactly.
+    the anchor amplitudes at the excited sites, with their mirrors, are
+    written into amp on construction and so held exactly.
     """
 
-    coeffs: dict
+    amp: np.ndarray
     b: int
     d: int
-    anchors: dict  # (k, n, +1) site -> exact amplitude
+    anchors: dict = field(default_factory=dict)  # (k, n, +1) -> amplitude
 
-    def copy(self) -> "FourierState":
-        return FourierState(dict(self.coeffs), self.b, self.d,
-                            dict(self.anchors))
+    def __post_init__(self):
+        Rk, Rn = self.radii
+        for (k, n, xi), value in self.anchors.items():
+            if _box_index((k, n, xi), Rk, Rn) is None:
+                raise ValueError(f"anchor {(k, n, xi)} outside the box")
+            self.amp[_box_index((k, n, xi), Rk, Rn)] = value
+            mirror = (tuple(-c for c in k), n, -xi)
+            self.amp[_box_index(mirror, Rk, Rn)] = np.conj(value)
+
+    @classmethod
+    def from_coeffs(cls, coeffs: dict, b: int, d: int,
+                    anchors: dict) -> "FourierState":
+        """State from a {(k, n, xi): value} map, on the smallest box that
+        holds its sites and the anchors."""
+        sites = list(coeffs) + list(anchors)
+        Rk, Rn = (max((sup_norm(s[j]) for s in sites), default=0)
+                  for j in (0, 1))
+        amp = np.zeros((2 * Rk + 1,) * b + (2 * Rn + 1,) * d + (2,),
+                       dtype=complex)
+        for site, value in coeffs.items():
+            amp[_box_index(site, Rk, Rn)] = value
+        return cls(amp, b, d, dict(anchors))
+
+    @property
+    def radii(self) -> tuple[int, int]:
+        """(Rk, Rn), the box radii in k and in n."""
+        shape = self.amp.shape
+        return (shape[0] - 1) // 2 if self.b else 0, (shape[self.b] - 1) // 2
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero amplitudes as {(k, n, xi): value}, in box order."""
+        Rk, Rn = self.radii
+        nz = np.argwhere(self.amp)
+        return {(tuple(c - Rk for c in row[:self.b]),
+                 tuple(c - Rn for c in row[self.b:-1]), 1 - 2 * row[-1]): value
+                for row, value in zip(nz.tolist(),
+                                      self.amp[tuple(nz.T)].tolist())}
 
     def get(self, site: Site) -> complex:
-        return self.coeffs.get(site, 0.0 + 0.0j)
-
-    def set(self, site: Site, value: complex,
-            drop_tol: float = 0.0) -> None:
-        if site in self.anchors:
-            return
-        if value == 0.0 or abs(value) <= drop_tol:
-            self.coeffs.pop(site, None)
-        else:
-            self.coeffs[site] = complex(value)
+        at = _box_index(site, *self.radii)
+        return 0.0 + 0.0j if at is None else complex(self.amp[at])
 
     def support_radius(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(max(sup_norm(k), sup_norm(n))
-                   for k, n, _ in self.coeffs)
-
-    def k_radius(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sup_norm(k) for k, _, _ in self.coeffs)
+        """Largest sup norm of (k, n) over the nonzero amplitudes."""
+        center = (np.array(self.amp.shape[:-1]) - 1) // 2
+        return int(np.abs(np.argwhere(self.amp)[:, :-1] - center)
+                   .max(initial=0))
 
     def conjugacy_defect(self) -> float:
-        worst = 0.0
-        for (k, n, xi), val in self.coeffs.items():
-            mirror = self.get((tuple(-c for c in k), n, -xi))
-            worst = max(worst, abs(val - np.conj(mirror)))
-        return float(worst)
+        u, v = self.amp[..., 0], self.amp[..., 1]
+        return float(np.abs(u - np.conj(_flip_k(v, self.b))).max(initial=0.0))
 
-    def enforce_anchors(self) -> None:
-        for site, value in self.anchors.items():
-            self.coeffs[site] = complex(value)
-            k, n, xi = site
-            self.coeffs[(tuple(-c for c in k), n, -xi)] = complex(
-                np.conj(value))
+
+def _box_index(site: Site, Rk: int, Rn: int) -> Optional[tuple]:
+    """Array index of a layered site in the box of radii (Rk, Rn), or None
+    when the site lies outside it."""
+    k, n, xi = site
+    if sup_norm(k) > Rk or sup_norm(n) > Rn:
+        return None
+    return (tuple(c + Rk for c in k) + tuple(c + Rn for c in n)
+            + (0 if xi > 0 else 1,))
+
+
+def _flip_k(arr: np.ndarray, b: int) -> np.ndarray:
+    """k -> -k on an array whose first b axes are centered k axes."""
+    return np.flip(arr, axis=tuple(range(b)))
+
+
+def _gather(state: FourierState, idx: Indexing) -> np.ndarray:
+    """Amplitudes at indexed sites of the state's k box that lie at most
+    one step in n outside its n box (zero there)."""
+    Rk, Rn = state.radii
+    radii = [Rk] * state.b + [Rn + 1] * state.d
+    at = tuple((idx.positions() + radii).T)
+    layer = [int(s[2] < 0) for s in idx.sites]
+    return recenter(state.amp, radii)[at + (layer,)]
 
 
 def anchor_sites(params: ModelParams) -> dict:
@@ -94,141 +136,92 @@ def anchor_sites(params: ModelParams) -> dict:
 
 def initial_state(params: ModelParams) -> FourierState:
     """Single-mode seed: amplitude a_l at (e_l, n_l, +) plus conjugates."""
-    anchors = anchor_sites(params)
-    state = FourierState({}, params.b, params.d, anchors)
-    state.enforce_anchors()
-    return state
+    return FourierState.from_coeffs({}, params.b, params.d,
+                                    anchor_sites(params))
 
 
 def symmetrize(state: FourierState) -> FourierState:
     """Project onto the conjugacy-symmetric subspace by averaging the two
     determinations of each coefficient.  Idempotent."""
-    out = state.copy()
-    seen = set()
-    new = {}
-    for site in list(out.coeffs):
-        if site in seen:
-            continue
-        k, n, xi = site
-        mirror = (tuple(-c for c in k), n, -xi)
-        a = out.get(site)
-        bm = out.get(mirror)
-        avg = 0.5 * (a + np.conj(bm))
-        if avg != 0.0:
-            new[site] = avg
-            new[mirror] = np.conj(avg)
-        seen.add(site)
-        seen.add(mirror)
-    out.coeffs = new
-    out.enforce_anchors()
-    return out
+    u, v = state.amp[..., 0], state.amp[..., 1]
+    avg = 0.5 * (u + np.conj(_flip_k(v, state.b)))
+    return FourierState(np.stack([avg, np.conj(_flip_k(avg, state.b))], -1),
+                        state.b, state.d, state.anchors)
 
 
 # -- convolutions in k at fixed n --------------------------------------
 
 
-def _layer_arrays(state: FourierState, R: int) -> dict:
-    """Dense k-arrays (k in [-R, R]^b) of both layers at every n of the
-    support, as n -> (plus, minus), from one pass over the coefficients."""
-    shape = (2 * R + 1,) * state.b
-    out = {}
-    for (k, n, xi), val in state.coeffs.items():
-        if n not in out:
-            out[n] = (np.zeros(shape, dtype=complex),
-                      np.zeros(shape, dtype=complex))
-        out[n][0 if xi > 0 else 1][tuple(c + R for c in k)] = val
+def _conv(a: np.ndarray, c: np.ndarray, nk: int) -> np.ndarray:
+    """Full convolution over the first nk (k) axes, batched and broadcast
+    over the trailing ones.  A direct sum of shifted products, so entries
+    that no product reaches stay exactly zero."""
+    if math.prod(a.shape[:nk]) > math.prod(c.shape[:nk]):
+        a, c = c, a
+    out = np.zeros(tuple(x + y - 1 for x, y in zip(a.shape[:nk], c.shape[:nk]))
+                   + np.broadcast_shapes(a.shape[nk:], c.shape[nk:]),
+                   dtype=complex)
+    for j in np.ndindex(a.shape[:nk]):
+        if a[j].any():
+            out[tuple(slice(i, i + w) for i, w in zip(j, c.shape))] += a[j] * c
     return out
 
 
-def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    method = "direct" if max(a.size, b.size) < 256 else "auto"
-    return scipy.signal.convolve(a, b, mode="full", method=method)
-
-
-def _entries(arr: np.ndarray, R: int):
-    """(k, value) for the nonzero entries of a k-array centered at R."""
-    nz = np.argwhere(np.abs(arr) > 0)
-    return zip(map(tuple, (nz - R).tolist()), arr[tuple(nz.T)].tolist())
-
-
-def _uv_powers(u: np.ndarray, v: np.ndarray, p: int) -> list[np.ndarray]:
+def _uv_powers(u: np.ndarray, v: np.ndarray, b: int,
+               p: int) -> list[np.ndarray]:
     """[(u*v)^1, ..., (u*v)^p], powers under convolution in k."""
-    powers = [_conv(u, v)]
+    powers = [_conv(u, v, b)]
     for _ in range(p - 1):
-        powers.append(_conv(powers[-1], powers[0]))
+        powers.append(_conv(powers[-1], powers[0], b))
     return powers
 
 
-def convolution_nonlinearity(state: FourierState, p: int) -> dict:
+def convolution_nonlinearity(state: FourierState, p: int) -> FourierState:
     """Nonlinear terms per layer: (u*v)^p * u on the plus layer and
     (u*v)^p * v on the minus layer, convolving in k at each fixed n.
 
-    Returns a coefficient map over layered sites; the k-support grows to
-    (2p+1) times the input support.
+    The result lives on the state's n box and k radius (2p+1) Rk.
     """
-    R = state.k_radius()
-    Rout = R * (2 * p + 1)
-    out = {}
-    for n, (u, v) in _layer_arrays(state, R).items():
-        w = _uv_powers(u, v, p)[-1]
-        for arr, xi in ((_conv(w, u), +1), (_conv(w, v), -1)):
-            for k, val in _entries(arr, Rout):
-                out[(k, n, xi)] = val
-    return out
+    b = state.b
+    w = _uv_powers(state.amp[..., 0], state.amp[..., 1], b, p)[-1]
+    return FourierState(_conv(state.amp, w[..., None], b), b, state.d)
 
 
 # -- residual ----------------------------------------------------------
+
+
+def evaluate_F(state: FourierState, omega: Sequence[float],
+               params: ModelParams) -> FourierState:
+    """Residual of the lattice equations at the current state.
+
+    Plus-layer rows: (-k . omega + mu_n) u + eps (hopping in n) u
+    + delta (u*v)^p * u; minus-layer rows are the conjugate mirror.
+    Evaluated on the box of the nonlinearity widened by one hopping step
+    in n, which holds every row the state or the nonlinearity reaches.
+    """
+    b, d = state.b, state.d
+    nl = convolution_nonlinearity(state, params.p)
+    Rk, Rn = nl.radii
+    radii = (Rk,) * b + (Rn + 1,) * d
+    idx = index_region(Region.box([-r for r in radii], radii), b)
+    values = (lattice_operator(params, omega, idx)
+              @ recenter(state.amp, radii).ravel()
+              + params.delta * recenter(nl.amp, radii).ravel())
+    return FourierState(values.reshape(tuple(2 * r + 1 for r in radii)
+                                       + (2,)), b, d)
+
+
+def residual_sup(residual: FourierState) -> float:
+    return float(np.abs(residual.amp).max(initial=0.0))
+
+
+# -- frequency (Q) equations -------------------------------------------
 
 
 def _hopping_halo(sites: Iterable[Site]) -> set:
     """The sites one unit step in n away from the given ones."""
     return {(k, n[:j] + (n[j] + step,) + n[j + 1:], xi)
             for k, n, xi in sites for j in range(len(n)) for step in (-1, 1)}
-
-
-def _lattice_rows(state: FourierState, omega: Sequence[float],
-                  params: ModelParams, nl: dict,
-                  rows: set) -> tuple[Indexing, np.ndarray]:
-    """(D + eps hopping) u + delta nl on a set of rows.  A row's value is
-    exact when the rows hold each of its neighbours in the support."""
-    idx = index_sites(rows)
-    u = np.fromiter(map(state.get, idx.sites), dtype=complex, count=idx.m)
-    values = lattice_operator(params, omega, idx) @ u
-    if params.delta != 0.0:
-        values += params.delta * np.fromiter(
-            (nl.get(s, 0.0) for s in idx.sites), dtype=complex, count=idx.m)
-    return idx, values
-
-
-def evaluate_F(state: FourierState, omega: Sequence[float],
-               params: ModelParams) -> dict:
-    """Residual of the lattice equations at the current state.
-
-    Plus-layer rows: (-k . omega + mu_n) u + eps (hopping in n) u
-    + delta (u*v)^p * u; minus-layer rows are the conjugate mirror.
-    Evaluated on the state's support, the nonlinearity support, and one
-    hopping halo in n; only nonzero entries are returned.
-    """
-    if not state.coeffs:
-        return {}
-    nl = (convolution_nonlinearity(state, params.p)
-          if params.delta != 0.0 else {})
-    rows = set(state.coeffs) | set(nl)
-    if params.epsilon != 0.0:
-        rows |= _hopping_halo(state.coeffs)
-    idx, values = _lattice_rows(state, omega, params, nl, rows)
-    nz = np.flatnonzero(values)
-    return dict(zip(map(idx.sites.__getitem__, nz.tolist()),
-                    values[nz].tolist()))
-
-
-def residual_sup(residual: dict, exclude: Iterable[Site] = ()) -> float:
-    excl = frozenset(exclude)
-    return float(max((abs(v) for s, v in residual.items() if s not in excl),
-                     default=0.0))
-
-
-# -- frequency (Q) equations -------------------------------------------
 
 
 def solve_Q(state: FourierState, params: ModelParams,
@@ -240,18 +233,19 @@ def solve_Q(state: FourierState, params: ModelParams,
     + (eps hopping + delta nonlinearity at the anchor), so each sweep
     sets omega_l += Re F_anchor / a_l.  The hopping and nonlinearity do
     not depend on omega: the fixed point is reached immediately and later
-    sweeps only confirm it.
+    sweeps only confirm it.  Only the anchor rows and their hopping
+    neighbours are evaluated.
     """
     om = np.asarray(omega_guess, dtype=float) if omega_guess is not None \
         else base_frequencies(params)
-    nl = (convolution_nonlinearity(state, params.p)
-          if params.delta != 0.0 else {})
     anchors = list(anchor_sites(params))
-    rows = set(anchors) | _hopping_halo(anchors)
+    idx = index_sites(set(anchors) | _hopping_halo(anchors))
+    rows = [idx[site] for site in anchors]
+    u = _gather(state, idx)
+    nl = params.delta * _gather(convolution_nonlinearity(state, params.p), idx)
     a = np.asarray(params.a, dtype=float)
     for _ in range(max_iter):
-        idx, values = _lattice_rows(state, om, params, nl, rows)
-        F = np.array([values[idx[site]] for site in anchors])
+        F = (lattice_operator(params, om, idx) @ u + nl)[rows]
         new = om + F.real / a
         if np.max(np.abs(new - om)) < tol:
             return new
@@ -271,29 +265,30 @@ def linearization_coupling(state: FourierState, params: ModelParams,
     Diagonal layer blocks carry (p+1)(u*v)^p; the cross-layer blocks
     carry p (u*v)^(p-1) * u * u and its conjugate mirror.
     """
-    p = params.p
-    layers = _layer_arrays(state, state.k_radius())
+    p, b = params.p, state.b
+    u, v = state.amp[..., 0], state.amp[..., 1]
+    powers = _uv_powers(u, v, b, p)
+    uu, vv = _conv(u, u, b), _conv(v, v, b)
+    if p >= 2:
+        uu, vv = _conv(powers[-2], uu, b), _conv(powers[-2], vv, b)
+    blocks = {
+        (+1, +1): (p + 1) * powers[-1],
+        (-1, -1): (p + 1) * powers[-1],
+        (+1, -1): p * uu,
+        (-1, +1): p * vv,
+    }
+    Rn = state.radii[1]
     kernel = {}
     for n in n_values:
-        if n not in layers:
+        if sup_norm(n) > Rn:
             continue
-        u, v = layers[n]
-        powers = _uv_powers(u, v, p)
-        uu = _conv(u, u)
-        vv = _conv(v, v)
-        if p >= 2:
-            uu = _conv(powers[-2], uu)
-            vv = _conv(powers[-2], vv)
-        blocks = {
-            (+1, +1): (p + 1) * powers[-1],
-            (-1, -1): (p + 1) * powers[-1],
-            (+1, -1): p * uu,
-            (-1, +1): p * vv,
-        }
+        at = (Ellipsis,) + tuple(c + Rn for c in n)
         for (xi, xip), arr in blocks.items():
-            for dk, val in _entries(arr, (arr.shape[0] - 1) // 2):
-                if sup_norm(dk) <= dk_radius:
-                    kernel[(dk, n, xi, xip)] = val
+            window = recenter(arr[at], (dk_radius,) * b)
+            nz = np.argwhere(window)
+            for dk, val in zip((nz - dk_radius).tolist(),
+                               window[tuple(nz.T)].tolist()):
+                kernel[(tuple(dk), n, xi, xip)] = val
     return ShortRangeOperator(kernel=kernel, decay_const=1e6,
                               decay_rate=1.0)
 
@@ -306,16 +301,21 @@ def newton_step(state: FourierState, omega: Sequence[float],
     coupling) on the layered cube minus the excited set, solves for the
     correction against the current residual, and subtracts it.
     """
-    region = Region.cube(params.b + params.d, N)
+    b, d = params.b, params.d
+    region = Region.cube(b + d, N)
     excl = frozen_mode_sites(params.sites)
-    n_values = set()
-    for y in region.sites():
-        n_values.add(y[params.b:])
-    S = linearization_coupling(state, params, n_values, dk_radius=2 * N)
+    S = linearization_coupling(
+        state, params, itertools.product(range(-N, N + 1), repeat=d),
+        dk_radius=2 * N)
     op = assemble_H(params, omega, region, sigma=0.0, S=S, exclude=excl)
+    # The cube's sites minus the frozen ones, in the operator's row order.
+    free = np.ones((2 * N + 1,) * (b + d) + (2,), dtype=bool)
+    for site in excl:
+        at = _box_index(site, N, N)
+        if at is not None:
+            free[at] = False
     residual = evaluate_F(state, omega, params)
-    rhs = np.array([residual.get(s, 0.0) for s in op.indexing.sites],
-                   dtype=complex)
+    rhs = recenter(residual.amp, (N,) * (b + d))[free]
     try:
         delta = np.linalg.solve(op.matrix, rhs)
     except np.linalg.LinAlgError as exc:
@@ -323,12 +323,12 @@ def newton_step(state: FourierState, omega: Sequence[float],
         raise SingularOperatorError(
             f"linearized operator singular on cube N={N}", float(svals[-1])
         ) from exc
-    new = state.copy()
-    for i, site in enumerate(op.indexing.sites):
-        new.set(site, new.get(site) - delta[i])
-    new.enforce_anchors()
+    Rk, Rn = state.radii
+    radii = (max(Rk, N),) * b + (max(Rn, N),) * d
+    amp = recenter(state.amp, radii)
+    amp[tuple(slice(r - N, r + N + 1) for r in radii)][free] -= delta
     corr = float(np.max(np.abs(delta))) if delta.size else 0.0
-    return new, corr
+    return FourierState(amp, b, d, state.anchors), corr
 
 
 # -- full run ----------------------------------------------------------
@@ -362,19 +362,19 @@ class Solution:
     trace: NewtonTrace
     converged: bool
     newton_steps: int
+    stop_reason: str  # "converged", "stalled" or "max_steps"
 
 
 def decay_sum(state: FourierState, params: ModelParams) -> float:
     """Weighted amplitude sum over the plus layer away from the anchors:
     sum |u(k, n)| exp(|k| + |n|)."""
-    anchors = set(anchor_sites(params))
-    total = 0.0
-    for site, val in state.coeffs.items():
-        if site[2] < 0 or site in anchors:
-            continue
-        k, n, _ = site
-        total += abs(val) * math.exp(sup_norm(k) + sup_norm(n))
-    return total
+    Rk, Rn = state.radii
+    plus = np.abs(state.amp[..., 0])
+    for site in anchor_sites(params):
+        plus[_box_index(site, Rk, Rn)[:-1]] = 0.0
+    weight = np.exp(np.add.outer(box_sup_norms(Rk, state.b),
+                                 box_sup_norms(Rn, state.d)))
+    return float(np.sum(plus * weight))
 
 
 def certificates_for(state: FourierState, omega: Sequence[float],
@@ -412,7 +412,8 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
         trace = NewtonTrace(tuple(steps))
         return Solution(state, tuple(omega), params,
                         certificates_for(state, omega, params), trace,
-                        converged=True, newton_steps=0)
+                        converged=True, newton_steps=0,
+                        stop_reason="converged")
     growth = 0
     prev_res = res
     for r in range(r_max):
@@ -444,9 +445,15 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
     omega = solve_Q(state, params, omega)
     trace = NewtonTrace(tuple(steps))
     certs = certificates_for(state, omega, params)
+    converged = bool(certs.residual < tol)
+    # Stalled: unconverged after two steps at N_cap whose residual fell by
+    # less than half.
+    stalled = (len(steps) >= 2 and all(s["N"] == N_cap for s in steps[-2:])
+               and steps[-1]["residual"] > 0.5 * steps[-2]["residual"])
     return Solution(state, tuple(float(x) for x in omega), params, certs,
-                    trace, converged=bool(certs.residual < tol),
-                    newton_steps=len(steps))
+                    trace, converged=converged, newton_steps=len(steps),
+                    stop_reason="converged" if converged
+                    else "stalled" if stalled else "max_steps")
 
 
 # -- persistence -------------------------------------------------------
@@ -461,30 +468,24 @@ def solution_to_record(sol: Solution) -> dict:
              "re": float(np.real(v)), "im": float(np.imag(v))}
             for (k, n, xi), v in sorted(sol.state.coeffs.items())
         ],
-        "certificates": {
-            "residual": sol.certificates.residual,
-            "decay_sum": sol.certificates.decay_sum,
-            "conjugacy_defect": sol.certificates.conjugacy_defect,
-            "omega_shift": sol.certificates.omega_shift,
-        },
+        "certificates": asdict(sol.certificates),
         "trace": list(sol.trace.steps),
         "converged": sol.converged,
         "newton_steps": sol.newton_steps,
+        "stop_reason": sol.stop_reason,
     }
 
 
 def solution_from_record(rec: dict) -> Solution:
     params = ModelParams.from_record(rec["params"])
-    coeffs = {}
-    for row in rec["coeffs"]:
-        site = (tuple(int(c) for c in row["k"]),
-                tuple(int(c) for c in row["n"]), int(row["xi"]))
-        coeffs[site] = complex(row["re"], row["im"])
-    state = FourierState(coeffs, params.b, params.d, anchor_sites(params))
-    c = rec["certificates"]
-    certs = Certificates(c["residual"], c["decay_sum"],
-                         c["conjugacy_defect"], c["omega_shift"])
+    coeffs = {(tuple(int(c) for c in row["k"]),
+               tuple(int(c) for c in row["n"]), int(row["xi"])):
+              complex(row["re"], row["im"]) for row in rec["coeffs"]}
+    state = FourierState.from_coeffs(coeffs, params.b, params.d,
+                                     anchor_sites(params))
     trace = NewtonTrace(tuple(rec["trace"]))
     return Solution(state, tuple(float(x) for x in rec["omega"]), params,
-                    certs, trace, bool(rec["converged"]),
-                    int(rec["newton_steps"]))
+                    Certificates(**rec["certificates"]), trace,
+                    bool(rec["converged"]),
+                    int(rec["newton_steps"]),
+                    rec.get("stop_reason", "unknown"))  # older records

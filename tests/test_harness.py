@@ -41,7 +41,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("override", [
         "regions.N=0", "regions.r=1.5", "ldt.sigma_points=0",
-        'ldt.M="two"', "ldt.sigma_min=3.0", "lde.rho=2.0",
+        'ldt.M="two"', "ldt.sigma_min=3.0", "lde.norm_exp=0",
         "lde.gamma_target=-1", "solver.N_cap=0", "solver.tol=0",
         "solver.q_before_p=1", "evolve.dt=0", "evolve.T=-1",
         "evolve=5"])
@@ -173,6 +173,15 @@ class TestCli:
         code = main(["regions", "--config", str(cfg_path),
                      "--set", "regions.N=1", "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal would cost most of the import time of the CLI.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, qpnls.harness; "
+             "print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "qpnls.harness", "-h"],

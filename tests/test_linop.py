@@ -124,7 +124,7 @@ class TestAssembleH:
             k = tuple(int(c) for c in rng.integers(-2, 3, 2))
             n = (int(rng.integers(-2, 3)),)
             coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * 0.1
-        state = symmetrize(FourierState(coeffs, 2, 1, {}))
+        state = symmetrize(FourierState.from_coeffs(coeffs, 2, 1, {}))
         region = Region.cube(3, 2)
         S = linearization_coupling(state, p, {y[2:] for y in region.sites()},
                                    dk_radius=3)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qpnls.lattice import Region, sup_norm
+from qpnls.lattice import Region, index_region, sup_norm
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 from qpnls.solver import (FourierState, anchor_sites, certificates_for,
@@ -37,6 +37,35 @@ def brute_force_nonlinearity(state, p):
     return {k: v for k, v in out.items() if abs(v) > 0}
 
 
+def b2_params():
+    """Two excited sites (b = 2), the benchmark's b = 2 instance."""
+    return ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
+                       theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
+                       sites=((0,), (2,)), a=(1.5, 1.2))
+
+
+class TestLayout:
+    @pytest.mark.parametrize("b, d", [(2, 1), (1, 2)])
+    def test_box_order_is_index_region_order(self, b, d):
+        rng = np.random.default_rng(10 * b + d)
+        for _ in range(5):
+            coeffs = {}
+            for _ in range(int(rng.integers(1, 12))):
+                k = tuple(int(c) for c in rng.integers(-3, 4, b))
+                n = tuple(int(c) for c in rng.integers(-2, 3, d))
+                xi = 1 if rng.random() < 0.5 else -1
+                coeffs[(k, n, xi)] = complex(*rng.standard_normal(2))
+            state = FourierState.from_coeffs(coeffs, b, d, {})
+            assert state.coeffs == coeffs
+            Rk, Rn = state.radii
+            radii = (Rk,) * b + (Rn,) * d
+            idx = index_region(Region.box([-r for r in radii], radii), b)
+            flat = state.amp.ravel()
+            assert flat.size == idx.m
+            for i, site in enumerate(idx.sites):
+                assert flat[i] == state.get(site) == coeffs.get(site, 0.0)
+
+
 class TestInitialState:
     def test_two_nonzero_entries(self):
         state = initial_state(reference_params())
@@ -59,12 +88,12 @@ class TestConvolution:
         state = initial_state(p)
         nl = convolution_nonlinearity(state, 1)
         a = p.a[0]
-        assert nl[((1,), (0,), 1)] == pytest.approx(a ** 3)
-        assert nl[((-1,), (0,), -1)] == pytest.approx(a ** 3)
+        assert nl.coeffs[((1,), (0,), 1)] == pytest.approx(a ** 3)
+        assert nl.coeffs[((-1,), (0,), -1)] == pytest.approx(a ** 3)
 
     def test_zero_state(self):
-        state = FourierState({}, 1, 1, {})
-        assert convolution_nonlinearity(state, 1) == {}
+        state = FourierState.from_coeffs({}, 1, 1, {})
+        assert convolution_nonlinearity(state, 1).coeffs == {}
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(17)
@@ -76,8 +105,8 @@ class TestConvolution:
                 val = complex(rng.standard_normal(), rng.standard_normal())
                 coeffs[(k, n, 1)] = val
                 coeffs[(tuple(-c for c in k), n, -1)] = np.conj(val)
-            state = FourierState(coeffs, 1, 1, {})
-            fast = convolution_nonlinearity(state, p_pow)
+            state = FourierState.from_coeffs(coeffs, 1, 1, {})
+            fast = convolution_nonlinearity(state, p_pow).coeffs
             slow = brute_force_nonlinearity(state, p_pow)
             keys = set(fast) | set(slow)
             for key in keys:
@@ -97,17 +126,17 @@ class TestEvaluateF:
         state = initial_state(p)
         res = evaluate_F(state, base_frequencies(p), p)
         # only the hopping term survives: eps * a at the anchor's neighbors
-        assert set(res) == {((1,), (1,), 1), ((1,), (-1,), 1),
+        assert set(res.coeffs) == {((1,), (1,), 1), ((1,), (-1,), 1),
                             ((-1,), (1,), -1), ((-1,), (-1,), -1)}
-        for v in res.values():
+        for v in res.coeffs.values():
             assert abs(v) == pytest.approx(1e-3 * 1.5)
 
     def test_residual_conjugacy_mirror(self):
         p = reference_params()
         state = symmetrize(initial_state(p))
         res = evaluate_F(state, base_frequencies(p), p)
-        for (k, n, xi), v in res.items():
-            mirror = res.get((tuple(-c for c in k), n, -xi), 0.0)
+        for (k, n, xi), v in res.coeffs.items():
+            mirror = res.coeffs.get((tuple(-c for c in k), n, -xi), 0.0)
             assert v == pytest.approx(np.conj(mirror), abs=1e-14)
 
     def test_d2_brute_force_neighbour_sum(self):
@@ -123,7 +152,8 @@ class TestEvaluateF:
             k = (int(rng.integers(-2, 3)),)
             n = tuple(int(c) for c in rng.integers(-2, 3, 2))
             coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * 0.1
-        state = symmetrize(FourierState(coeffs, 1, 2, anchor_sites(p)))
+        state = symmetrize(FourierState.from_coeffs(coeffs, 1, 2,
+                                                    anchor_sites(p)))
         res = evaluate_F(state, om, p)
         nl = brute_force_nonlinearity(state, p.p)
         rows = set(state.coeffs) | set(nl)
@@ -145,8 +175,8 @@ class TestEvaluateF:
             val += p.delta * nl.get(site, 0.0)
             if abs(val) > 1e-15:
                 want[site] = val
-        assert set(want) <= set(res)
-        for site, val in res.items():
+        assert set(want) <= set(res.coeffs)
+        for site, val in res.coeffs.items():
             assert val == pytest.approx(want.get(site, 0.0), abs=1e-14)
 
 
@@ -168,7 +198,7 @@ class TestSolveQ:
         sol = run_solver(p)
         res = evaluate_F(sol.state, sol.omega, p)
         for site in anchor_sites(p):
-            assert abs(res.get(site, 0.0)) <= 1e-12
+            assert abs(res.coeffs.get(site, 0.0)) <= 1e-12
 
 
 class TestNewtonStep:
@@ -225,7 +255,8 @@ class TestSymmetrize:
                                                     abs=1e-16)
 
     def test_fills_missing_mirror_with_average(self):
-        state = FourierState({((2,), (1,), 1): 0.8 + 0.2j}, 1, 1, {})
+        state = FourierState.from_coeffs({((2,), (1,), 1): 0.8 + 0.2j}, 1, 1,
+                                         {})
         out = symmetrize(state)
         assert out.get(((2,), (1,), 1)) == pytest.approx(0.4 + 0.1j)
         assert out.get(((-2,), (1,), -1)) == pytest.approx(0.4 - 0.1j)
@@ -239,7 +270,7 @@ class TestSymmetrize:
             xi = 1 if rng.random() < 0.5 else -1
             coeffs[(k, n, xi)] = complex(rng.standard_normal(),
                                          rng.standard_normal())
-        state = FourierState(coeffs, 1, 1, {})
+        state = FourierState.from_coeffs(coeffs, 1, 1, {})
         once = symmetrize(state)
         twice = symmetrize(once)
         for site in set(once.coeffs) | set(twice.coeffs):
@@ -295,6 +326,23 @@ class TestRunSolver:
         b = run_solver(p, q_before_p=False)
         assert a.converged and b.converged
         assert a.omega == pytest.approx(b.omega, abs=1e-12)
+
+
+class TestStopReason:
+    def test_stalled_at_truncation_floor(self):
+        # N_cap = 4 repeats a residual of 1.2e-9 from the third step on.
+        sol = run_solver(b2_params(), N_cap=4, r_max=5)
+        assert not sol.converged
+        assert sol.stop_reason == "stalled"
+        assert solution_to_record(sol)["stop_reason"] == "stalled"
+
+    def test_reference_converged(self):
+        assert run_solver(reference_params()).stop_reason == "converged"
+
+    def test_out_of_steps(self):
+        sol = run_solver(reference_params(), r_max=1)
+        assert not sol.converged
+        assert sol.stop_reason == "max_steps"
 
 
 class TestCertificates:

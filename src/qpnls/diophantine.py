@@ -9,6 +9,8 @@ counts, and Monte-Carlo estimation of excluded phase-space measure.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -16,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .lattice import sup_norm
+from .lattice import frozen_mode_sites, sup_norm
 from .potential import ModelParams, TrigPoly, base_frequencies, mu
 
 IntVec = tuple[int, ...]
@@ -121,8 +123,7 @@ def _wronskian_columns(inp: WronskianInput):
     return np.asarray(xs), np.asarray(coss)
 
 
-def wronskian_det(inp: WronskianInput, size_cap: int = 12,
-                  cond_limit: float = 1e12) -> tuple[float, float]:
+def wronskian_det(inp: WronskianInput) -> tuple[float, float]:
     """Absolute determinant of the even-derivative matrix, computed two
     ways: directly, and through the cosine-times-Vandermonde product.
 
@@ -130,16 +131,17 @@ def wronskian_det(inp: WronskianInput, size_cap: int = 12,
     cosine term along the direction, which is (-(2 pi x_c)^2)^j cos_c.
     The product form pulls out the cosines and one squared linear form per
     column, leaving a Vandermonde determinant in the squared forms.
+    Matrices larger than 12 x 12 are refused.
     """
     xs, coss = _wronskian_columns(inp)
     R = xs.size
-    if R > size_cap:
-        raise ValueError(f"matrix size {R} exceeds cap {size_cap}")
+    if R > 12:
+        raise ValueError(f"matrix size {R} exceeds cap 12")
     lam2 = (2.0 * np.pi * xs) ** 2
     W = np.empty((R, R))
     for j in range(1, R + 1):
         W[j - 1] = (-lam2) ** j * coss
-    direct = _safe_abs_det(W, cond_limit)
+    direct = _safe_abs_det(W)
 
     factored = float(np.prod(np.abs(coss))) * float(np.prod(lam2))
     for c in range(R):
@@ -148,14 +150,14 @@ def wronskian_det(inp: WronskianInput, size_cap: int = 12,
     return direct, factored
 
 
-def _safe_abs_det(W: np.ndarray, cond_limit: float) -> float:
+def _safe_abs_det(W: np.ndarray) -> float:
     """|det W| via LU, re-evaluated in extended precision when the matrix
-    is badly conditioned."""
+    is badly conditioned (condition number above 1e12)."""
     R = W.shape[0]
     if R == 0:
         return 1.0
     cond = np.linalg.cond(W) if R > 1 else 1.0
-    if np.isfinite(cond) and cond <= cond_limit:
+    if np.isfinite(cond) and cond <= 1e12:
         return float(abs(np.linalg.det(W)))
     with mpmath.workdps(50):
         M = mpmath.matrix([[mpmath.mpf(float(W[i, j])) for j in range(R)]
@@ -203,7 +205,6 @@ class DCReport:
 
 
 def _k_vectors(b: int, radius: int, include_zero: bool) -> list[IntVec]:
-    import itertools
     out = [k for k in itertools.product(range(-radius, radius + 1), repeat=b)]
     if not include_zero:
         out = [k for k in out if any(c != 0 for c in k)]
@@ -211,7 +212,6 @@ def _k_vectors(b: int, radius: int, include_zero: bool) -> list[IntVec]:
 
 
 def _n_vectors(d: int, radius: int) -> list[IntVec]:
-    import itertools
     return list(itertools.product(range(-radius, radius + 1), repeat=d))
 
 
@@ -250,11 +250,7 @@ def check_dc_conditions(params: ModelParams, dioph: DiophParams) -> DCReport:
             violations.append(("ii", (k,), val, thr))
 
     # (iii) joint small divisors off the excited set, with a per-site scale.
-    excited = set()
-    for l, n in enumerate(params.sites):
-        e = tuple(1 if j == l else 0 for j in range(b))
-        excited.add((e, tuple(n)))
-        excited.add((tuple(-c for c in e), tuple(n)))
+    excited = {(k, n) for k, n, _ in frozen_mode_sites(params.sites)}
     for k in _k_vectors(b, L, include_zero=True):
         for n in ns:
             if (k, n) in excited:
@@ -290,9 +286,6 @@ def check_dc_conditions(params: ModelParams, dioph: DiophParams) -> DCReport:
 
 
 # -- resonance clustering ----------------------------------------------
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=64)

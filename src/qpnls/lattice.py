@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -105,45 +106,31 @@ class Region:
             return 0
         return sum(1 for s in self.sign_cuts if s is not None)
 
-    def _in_box(self, y: IntVec) -> bool:
-        return all(l <= c <= h for c, l, h in zip(y, self.lo, self.hi))
-
-    def _removed(self, y: IntVec) -> bool:
-        if self.cut_vector is not None:
-            return self._in_box(tuple(c - z for c, z in zip(y, self.cut_vector)))
-        if self.sign_cuts is not None:
-            active = [(c - o, s) for c, o, s in
-                      zip(y, self.cut_origin, self.sign_cuts) if s is not None]
-            return bool(active) and all(_holds(v, s) for v, s in active)
-        return False
-
     def contains(self, y: IntVec) -> bool:
-        return self._in_box(y) and not self._removed(y)
+        return bool(self.contains_array([y])[0])
+
+    def points(self) -> np.ndarray:
+        """(size, r) int64 array of the member sites in C order."""
+        shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
+        pts = np.indices(shape, dtype=np.int64).reshape(self.r, -1).T + self.lo
+        return pts[~self._removed_mask(pts)]
 
     def sites(self) -> list[IntVec]:
-        axes = [np.arange(l, h + 1) for l, h in zip(self.lo, self.hi)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        keep = ~self._removed_mask(pts)
-        return [tuple(row) for row in pts[keep].tolist()]
+        """The member sites as tuples, in the order of points()."""
+        return list(zip(*self.points().T.tolist()))
 
     def _removed_mask(self, pts: np.ndarray) -> np.ndarray:
         if self.cut_vector is not None:
-            shifted = pts - np.asarray(self.cut_vector)
-            return np.logical_and.reduce(
-                (shifted >= np.asarray(self.lo))
-                & (shifted <= np.asarray(self.hi)), axis=1)
-        if self.sign_cuts is not None:
-            mask = np.ones(pts.shape[0], dtype=bool)
-            active = False
-            for j, s in enumerate(self.sign_cuts):
-                if s is None:
-                    continue
-                active = True
+            shifted = pts - self.cut_vector
+            return ((shifted >= self.lo) & (shifted <= self.hi)).all(axis=1)
+        # The corner where every active relation holds; none when no
+        # relation is active.
+        mask = np.full(pts.shape[0], self.n_active_cuts() > 0)
+        for j, s in enumerate(self.sign_cuts or ()):
+            if s is not None:
                 rel = pts[:, j] - self.cut_origin[j]
                 mask &= (rel < 0) if s == LESS else (rel > 0)
-            return mask if active else np.zeros(pts.shape[0], dtype=bool)
-        return np.zeros(pts.shape[0], dtype=bool)
+        return mask
 
     def site_set(self) -> frozenset:
         return frozenset(self.sites())
@@ -177,18 +164,17 @@ class Region:
     def contains_array(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an (m, r) integer array."""
         pts = np.asarray(pts)
-        in_box = np.logical_and.reduce(
-            (pts >= np.asarray(self.lo)) & (pts <= np.asarray(self.hi)),
-            axis=1)
-        return in_box & ~self._removed_mask(pts)
+        inside = ((pts >= self.lo) & (pts <= self.hi)).all(axis=1)
+        if self.cut_vector is not None or self.n_active_cuts():
+            inside &= ~self._removed_mask(pts)
+        return inside
 
     def diameter(self) -> int:
         """Sup-norm diameter, computed exactly from the member sites."""
-        pts = self.sites()
-        if not pts:
+        pts = self.points()
+        if not pts.size:
             raise EmptyRegionError("diameter of empty region")
-        arr = np.asarray(pts)
-        return int((arr.max(axis=0) - arr.min(axis=0)).max())
+        return int((pts.max(axis=0) - pts.min(axis=0)).max())
 
     def translate(self, z: IntVec) -> "Region":
         lo = tuple(l + c for l, c in zip(self.lo, z))
@@ -224,13 +210,13 @@ class Region:
         return Region(lo, hi, cut, cuts, origin)
 
 
-def enumerate_elementary_regions(r: int, N: int,
-                                 dedup_limit: int = 10_000) -> list[Region]:
+def enumerate_elementary_regions(r: int, N: int) -> list[Region]:
     """All elementary regions of size N centered at the origin: the full
     cube plus every corner-cut variant with at least two active relations.
 
-    Regions whose site sets coincide are returned once.  For r < 2 only the
-    cube exists (no valid multi-cut).
+    Regions whose site sets coincide are returned once, compared by
+    points() (all share the cube's box) when the cube has at most 10,000
+    sites.  For r < 2 only the cube exists (no valid multi-cut).
     """
     if N <= 0:
         raise ValueError("region size must be >= 1")
@@ -241,13 +227,13 @@ def enumerate_elementary_regions(r: int, N: int,
     if r < 2:
         return out
     total_sites = (2 * N + 1) ** r
-    seen = {cube.site_set()} if total_sites <= dedup_limit else None
+    seen = {cube.points().tobytes()} if total_sites <= 10_000 else None
     for pattern in itertools.product((LESS, GREATER, None), repeat=r):
         if sum(1 for s in pattern if s is not None) < 2:
             continue
         reg = Region(cube.lo, cube.hi, sign_cuts=pattern, cut_origin=(0,) * r)
         if seen is not None:
-            key = reg.site_set()
+            key = reg.points().tobytes()
             if key in seen:
                 continue
             seen.add(key)
@@ -329,49 +315,69 @@ def frozen_mode_sites(anchor_ns: Iterable[IntVec]) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Indexing:
     """Deterministic bijection between layered sites and 0..m-1.
 
-    Sites are ordered lexicographically on (k, n, xi) with + before -,
-    which fixes the matrix layout globally.
+    Row i is the site (positions[i, :b], positions[i, b:], layers[i]).
+    Sites are ordered lexicographically on (k, n) with + before -, which
+    fixes the matrix layout globally.  The site tuples and the lookup
+    idx[site] are derived from the arrays on first use.
     """
 
-    sites: tuple[Site, ...]
-    index: dict
+    positions: np.ndarray  # (m, b+d) int64
+    layers: np.ndarray  # (m,) int64, +1 or -1
+    b: int
 
     @property
     def m(self) -> int:
-        return len(self.sites)
+        return self.layers.size
 
-    def positions(self) -> np.ndarray:
-        """(m, b+d) integer array of site coordinates (layer dropped)."""
-        return np.asarray([k + n for k, n, _ in self.sites], dtype=np.int64)
+    @cached_property
+    def sites(self) -> tuple[Site, ...]:
+        ks = map(tuple, self.positions[:, :self.b].tolist())
+        ns = map(tuple, self.positions[:, self.b:].tolist())
+        return tuple(zip(ks, ns, self.layers.tolist()))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {s: i for i, s in enumerate(self.sites)}
 
     def __getitem__(self, site: Site) -> int:
-        return self.index[site]
+        return self._index[site]
+
+
+def _site_arrays(sites: list[Site]) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, layers) of a list of layered site tuples."""
+    return (np.array([k + n for k, n, _ in sites], dtype=np.int64),
+            np.array([s[2] for s in sites], dtype=np.int64))
 
 
 def index_sites(sites: Iterable[Site]) -> Indexing:
     """Indexing of distinct layered sites, ordered on (k, n) with + before
     -: the C order of a centered box array whose layer axis comes last."""
-    ordered = sorted(sites, key=lambda s: (s[0], s[1], -s[2]))
-    return Indexing(tuple(ordered), {s: i for i, s in enumerate(ordered)})
+    sites = list(sites)
+    pos, layers = _site_arrays(sites)
+    order = np.lexsort((-layers,) + tuple(pos.T[::-1]))
+    return Indexing(pos[order], layers[order], len(sites[0][0]))
 
 
 def index_region(region: Region, b: int,
                  exclude: Iterable[Site] = ()) -> Indexing:
-    """Index the +/- layered sites of a region, minus an excluded site set."""
-    sites = []
-    for y in region.sites():
-        k, n = y[:b], y[b:]
-        sites += ((k, n, +1), (k, n, -1))
-    excl = frozenset(exclude)
-    if excl:
-        sites = [s for s in sites if s not in excl]
-    if not sites:
+    """Index the +/- layered sites of a region, minus an excluded site set.
+
+    Each point in the region's C order is repeated for +, then -, which is
+    already the order of index_sites."""
+    pos = np.repeat(region.points(), 2, axis=0)
+    layers = np.tile(np.array([1, -1], dtype=np.int64), pos.shape[0] // 2)
+    ex_pos, ex_xi = _site_arrays(list(exclude))
+    if ex_xi.size:
+        hit = ((pos[:, None, :] == ex_pos).all(axis=2)
+               & (layers[:, None] == ex_xi)).any(axis=1)
+        pos, layers = pos[~hit], layers[~hit]
+    if not layers.size:
         raise EmptyRegionError("no sites left after exclusion")
-    return index_sites(sites)
+    return Indexing(pos, layers, b)
 
 
 # -- centered box arrays -----------------------------------------------
@@ -418,9 +424,8 @@ def _find_width_witness(site_set, r, x, Lp):
     shapes = enumerate_elementary_regions(r, Lp)
     centers = itertools.product(*[range(c - Lp, c + Lp + 1) for c in x])
     for c in centers:
-        shift = tuple(ci for ci in c)
         for shape in shapes:
-            cand = shape.translate(shift)
+            cand = shape.translate(c)
             if not cand.contains(x):
                 continue
             cand_sites = cand.site_set()

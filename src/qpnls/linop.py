@@ -89,22 +89,16 @@ class AssembledOperator:
         return float(np.linalg.norm(H - H.conj().T) / denom)
 
 
-def _layers(idx: Indexing) -> np.ndarray:
-    return np.fromiter((s[2] for s in idx.sites), dtype=np.int64,
-                       count=idx.m)
-
-
 def diagonal_values(params: ModelParams, omega: Sequence[float],
                     idx: Indexing, sigma: float = 0.0) -> np.ndarray:
     """Diagonal of the operator on the indexed sites:
     -(sigma + k . omega) + mu_n on the + layer, +(sigma + k . omega) + mu_n
     on the - layer.  mu is evaluated once per distinct n."""
-    pos = idx.positions()
-    b = pos.shape[1] - params.d
+    pos, b = idx.positions, idx.b
     ns, inverse = np.unique(pos[:, b:], axis=0, return_inverse=True)
     mu = params.mu_values(ns)[inverse.ravel()]
     kw = pos[:, :b] @ np.asarray(omega, dtype=float)
-    return np.where(_layers(idx) > 0, -sigma - kw + mu, sigma + kw + mu)
+    return np.where(idx.layers > 0, -sigma - kw + mu, sigma + kw + mu)
 
 
 def diagonal_value(params: ModelParams, omega: Sequence[float],
@@ -118,7 +112,7 @@ def _hopping_pairs(idx: Indexing, d: int) -> tuple[np.ndarray, np.ndarray]:
     coordinates s of the position (same k and layer).  Sites are encoded
     as mixed-radix integer keys of (position, layer) with one spare digit
     per coordinate, so a unit step in n is a fixed offset of the key."""
-    keys = np.column_stack([idx.positions(), _layers(idx)])
+    keys = np.column_stack([idx.positions, idx.layers])
     keys -= keys.min(axis=0)
     extent = keys.max(axis=0) + 2
     strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1)
@@ -153,9 +147,9 @@ def box_operator(params: ModelParams, R: int) -> sparse.csr_matrix:
     """The single-particle operator mu_n + epsilon * hopping on the box
     [-R, R]^d, sites in row-major order: the + layer with k = () and
     sigma = 0."""
-    box = itertools.product(range(-R, R + 1), repeat=params.d)
-    return lattice_operator(params, (), index_sites(((), n, +1)
-                                                    for n in box))
+    pts = Region.cube(params.d, R).points()
+    plus = np.ones(pts.shape[0], dtype=np.int64)
+    return lattice_operator(params, (), Indexing(pts, plus, 0))
 
 
 def assemble_D(params: ModelParams, omega: Sequence[float], region: Region,
@@ -185,16 +179,19 @@ def _add_short_range(H: np.ndarray, idx: Indexing, S: ShortRangeOperator,
     Each block's kernel table (layer, layer', k - k') is wide enough for
     every pair of the block, so its flat offset splits into a row part and
     a column part."""
-    b = len(idx.sites[0][0])
-    pos, layer = idx.positions(), (_layers(idx) < 0).astype(np.int64)
-    rows_by_n, keys_by_n = {}, {}
-    for i, (_, n, _) in enumerate(idx.sites):
-        rows_by_n.setdefault(n, []).append(i)
+    pos, b = idx.positions, idx.b
+    layer = (idx.layers < 0).astype(np.int64)
+    ns, inverse, counts = np.unique(pos[:, b:], axis=0, return_inverse=True,
+                                    return_counts=True)
+    groups = np.split(np.argsort(inverse.ravel(), kind="stable"),
+                      np.cumsum(counts)[:-1])
+    rows_by_n = dict(zip(map(tuple, ns.tolist()), groups))
+    keys_by_n = {}
     for key in S.kernel:
         keys_by_n.setdefault(key[1], []).append(key)
     for n, keys in keys_by_n.items():
-        I = np.asarray(rows_by_n.get(n, []), dtype=np.intp)
-        if I.size == 0:
+        I = rows_by_n.get(n)
+        if I is None:
             continue
         k = pos[I, :b]
         R = max(int(np.ptp(k, axis=0).max()),
@@ -297,7 +294,7 @@ def green(op: AssembledOperator,
         G = (Vh.conj().T / s) @ U.conj().T
         residual = np.linalg.norm(H @ G - np.eye(H.shape[0]))
     M, norm_budget, gamma_target = _scale(op.region, lde)
-    rows, cols, d_far = _far_pairs(op.indexing.positions(), M ** lde.dist_exp)
+    rows, cols, d_far = _far_pairs(op.indexing.positions, M ** lde.dist_exp)
     g_far = np.abs(G[rows, cols])
     inverted, good = _classify(cond, residual, np.linalg.norm(G), norm, g_far,
                                norm_budget, np.exp(-gamma_target * d_far))
@@ -438,12 +435,12 @@ def _sweep_region(op: AssembledOperator, sigmas: np.ndarray,
     there, and so within every envelope.
     """
     H0 = op.matrix
-    xi = _layers(op.indexing)
+    xi = op.indexing.layers
     plus, minus = np.flatnonzero(xi > 0), np.flatnonzero(xi < 0)
     if np.any(H0.imag != 0.0) or np.any(H0[np.ix_(plus, minus)] != 0.0):
         raise ValueError("sweep needs real, decoupled +/- layers")
     M, norm_budget, gamma_target = _scale(op.region, lde)
-    positions = op.indexing.positions()
+    positions = op.indexing.positions
     layers = []  # (sign, lam, Q, block, far rows, far cols)
     envelopes = []
     for sign, layer in ((1.0, plus), (-1.0, minus)):

@@ -120,9 +120,8 @@ def _gather(state: FourierState, idx: Indexing) -> np.ndarray:
     one step in n outside its n box (zero there)."""
     Rk, Rn = state.radii
     radii = [Rk] * state.b + [Rn + 1] * state.d
-    at = tuple((idx.positions() + radii).T)
-    layer = [int(s[2] < 0) for s in idx.sites]
-    return recenter(state.amp, radii)[at + (layer,)]
+    at = tuple((idx.positions + radii).T) + ((idx.layers < 0).astype(int),)
+    return recenter(state.amp, radii)[at]
 
 
 def anchor_sites(params: ModelParams) -> dict:
@@ -225,16 +224,16 @@ def _hopping_halo(sites: Iterable[Site]) -> set:
 
 
 def solve_Q(state: FourierState, params: ModelParams,
-            omega_guess: Optional[Sequence[float]] = None,
-            tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
+            omega_guess: Optional[Sequence[float]] = None) -> np.ndarray:
     """Solve the equations at the excited sites for the frequencies.
 
     The residual at the anchor (e_l, n_l, +) is (omega0_l - omega_l) a_l
     + (eps hopping + delta nonlinearity at the anchor), so each sweep
     sets omega_l += Re F_anchor / a_l.  The hopping and nonlinearity do
     not depend on omega: the fixed point is reached immediately and later
-    sweeps only confirm it.  Only the anchor rows and their hopping
-    neighbours are evaluated.
+    sweeps only confirm it (no frequency moving by 1e-13; at most 200
+    sweeps).  Only the anchor rows and their hopping neighbours are
+    evaluated.
     """
     om = np.asarray(omega_guess, dtype=float) if omega_guess is not None \
         else base_frequencies(params)
@@ -244,10 +243,10 @@ def solve_Q(state: FourierState, params: ModelParams,
     u = _gather(state, idx)
     nl = params.delta * _gather(convolution_nonlinearity(state, params.p), idx)
     a = np.asarray(params.a, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(200):
         F = (lattice_operator(params, om, idx) @ u + nl)[rows]
         new = om + F.real / a
-        if np.max(np.abs(new - om)) < tol:
+        if np.max(np.abs(new - om)) < 1e-13:
             return new
         om = new
     raise RuntimeError(

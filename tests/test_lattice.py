@@ -6,7 +6,8 @@ import pytest
 
 from qpnls.lattice import (EmptyRegionError, EmptySectionError, Region,
                            enumerate_elementary_regions, frozen_mode_sites,
-                           has_width_at_least, index_region, region_section,
+                           has_width_at_least, index_region, index_sites,
+                           region_section,
                            section_site_set, site_norm, sup_dist, sup_norm)
 
 
@@ -98,6 +99,42 @@ class TestRegionBasics:
         for p, m in zip(pts, mask):
             assert reg.contains(p) == bool(m)
 
+    def test_points_match_hand_membership(self):
+        # membership written out in the test: inside the box and not in
+        # the removed part (a translated copy, or the corner where every
+        # active sign relation holds)
+        def member(reg, y):
+            if not all(l <= c <= h for c, l, h in zip(y, reg.lo, reg.hi)):
+                return False
+            if reg.cut_vector is not None:
+                z = [c - v for c, v in zip(y, reg.cut_vector)]
+                return not all(l <= c <= h
+                               for c, l, h in zip(z, reg.lo, reg.hi))
+            if reg.sign_cuts is None or not any(reg.sign_cuts):
+                return True
+            return not all((c - o < 0) if s == "<" else (c - o > 0)
+                           for c, o, s in zip(y, reg.cut_origin,
+                                              reg.sign_cuts) if s)
+
+        regs = enumerate_elementary_regions(3, 2)
+        regs += [Region((0, -1, 2), (3, 3, 4), cut_vector=(2, 1, 0)),
+                 Region((-2, 0, -1), (2, 3, 1),
+                        sign_cuts=(">", None, "<"), cut_origin=(1, 2, 0)),
+                 Region((0, 0, 0), (2, 2, 2), sign_cuts=(None,) * 3)]
+        grid = np.asarray(list(itertools.product(range(-3, 6), repeat=3)))
+        for reg in regs:
+            want = [tuple(y) for y in grid.tolist() if member(reg, y)]
+            pts = reg.points()
+            assert pts.dtype == np.int64 and pts.shape == (len(want), 3)
+            assert [tuple(y) for y in pts.tolist()] == want  # C order
+            assert reg.sites() == want
+            assert all(type(c) is int for y in reg.sites() for c in y)
+            assert reg.contains_array(grid).tolist() == \
+                [member(reg, y) for y in grid.tolist()]
+            assert reg.size() == len(want)
+            assert reg.diameter() == max(
+                max(a - b for a, b in zip(x, y)) for x in want for y in want)
+
     def test_serialization_round_trip(self):
         regs = enumerate_elementary_regions(3, 2)
         regs.append(Region((0, 0), (4, 2), cut_vector=(1, 1)))
@@ -165,6 +202,23 @@ class TestRegionSection:
                                 assert min(widths) >= N
 
 
+def _oracle_order(sites):
+    return sorted(sites, key=lambda s: (s[0], s[1], -s[2]))
+
+
+def _check_rows(idx, b):
+    """sites, positions and layers agree row by row, and idx[site] == i."""
+    assert isinstance(idx.sites, tuple) and idx.m == len(idx.sites)
+    assert idx.positions.ndim == 2 and idx.positions.shape[0] == idx.m
+    assert idx.positions.dtype == np.int64 and idx.layers.dtype == np.int64
+    for i, (site, pos, xi) in enumerate(zip(idx.sites, idx.positions.tolist(),
+                                            idx.layers.tolist())):
+        k, n, layer = site
+        assert type(k) is tuple and type(n) is tuple and type(layer) is int
+        assert len(k) == b and k + n == tuple(pos) and layer == xi
+        assert idx[site] == i
+
+
 class TestIndexing:
     def test_single_site(self):
         idx = index_region(Region.cube(2, 0), 1)
@@ -195,6 +249,37 @@ class TestIndexing:
                      for y in reg.sites() for xi in (1, -1)}
         with pytest.raises(EmptyRegionError):
             index_region(reg, 1, exclude=all_sites)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_index_region_matches_tuple_sort(self, r, N):
+        for reg in enumerate_elementary_regions(r, N):
+            for b in range(1, r):
+                d = r - b
+                anchors = [(l,) + (0,) * (d - 1) for l in range(b)]
+                for excl in (frozenset(), frozen_mode_sites(anchors)):
+                    want = _oracle_order(
+                        s for y in reg.sites()
+                        for s in ((y[:b], y[b:], 1), (y[:b], y[b:], -1))
+                        if s not in excl)
+                    idx = index_region(reg, b, exclude=excl)
+                    assert list(idx.sites) == want
+                    _check_rows(idx, b)
+
+    def test_index_sites_of_shuffled_set(self):
+        rng = np.random.default_rng(5)
+        reg = Region((-2, -1, 0), (1, 2, 2), sign_cuts=("<", ">", None),
+                     cut_origin=(0, 0, 1))
+        for b in (0, 1, 2):
+            sites = [(y[:b], y[b:], xi) for y in reg.sites()
+                     for xi in (1, -1)]
+            want = _oracle_order(sites)
+            assert list(index_region(reg, b).sites) == want
+            for _ in range(3):
+                rng.shuffle(sites)
+                idx = index_sites(iter(sites))
+                assert list(idx.sites) == want
+                _check_rows(idx, b)
 
 
 class TestWidth:

@@ -322,11 +322,12 @@ def clustering_count(params: ModelParams, sigma: float, L: int,
 # -- Monte-Carlo excluded-measure estimation ---------------------------
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion, with the normal
+    quantile z = 1.959963984540054."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

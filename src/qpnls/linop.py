@@ -3,8 +3,8 @@
 An operator lives on the +/- layered sites of a region: diagonal part
 built from sigma, k . omega and the potential values mu_n, a hopping
 Laplacian acting in n on each layer, and an optional short-range coupling
-term.  lattice_operator builds the diagonal and hopping parts as a sparse
-matrix on any indexed site set; Newton, the residual, the time-domain
+term.  lattice_operator builds all three as one sparse matrix on any
+indexed site set; Newton, the residual, the time-domain
 right-hand side and the classification sweeps all use it.  Green's
 functions are computed from one SVD each and classified by inverse norm
 and off-diagonal decay.  Sigma sweeps classify every sigma of a region
@@ -93,10 +93,9 @@ def diagonal_values(params: ModelParams, omega: Sequence[float],
                     idx: Indexing, sigma: float = 0.0) -> np.ndarray:
     """Diagonal of the operator on the indexed sites:
     -(sigma + k . omega) + mu_n on the + layer, +(sigma + k . omega) + mu_n
-    on the - layer.  mu is evaluated once per distinct n."""
+    on the - layer."""
     pos, b = idx.positions, idx.b
-    ns, inverse = np.unique(pos[:, b:], axis=0, return_inverse=True)
-    mu = params.mu_values(ns)[inverse.ravel()]
+    mu = params.mu_values(pos[:, b:])
     kw = pos[:, :b] @ np.asarray(omega, dtype=float)
     return np.where(idx.layers > 0, -sigma - kw + mu, sigma + kw + mu)
 
@@ -107,40 +106,82 @@ def diagonal_value(params: ModelParams, omega: Sequence[float],
     return float(diagonal_values(params, omega, index_sites([site]), sigma)[0])
 
 
-def _hopping_pairs(idx: Indexing, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with site j = site i + e_s for one of the last d
-    coordinates s of the position (same k and layer).  Sites are encoded
-    as mixed-radix integer keys of (position, layer) with one spare digit
-    per coordinate, so a unit step in n is a fixed offset of the key."""
-    keys = np.column_stack([idx.positions, idx.layers])
-    keys -= keys.min(axis=0)
-    extent = keys.max(axis=0) + 2
-    strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1)
-    code = keys @ strides
-    order = np.argsort(code)
-    ordered = code[order]
-    target = (code[:, None] + strides[-1 - d:-1]).ravel()
-    at = np.minimum(np.searchsorted(ordered, target), code.size - 1)
-    hit = ordered[at] == target
-    return np.flatnonzero(hit) // d, order[at[hit]]
+class _SiteKeys:
+    """Mixed-radix integer keys of the indexed sites.
+
+    A site's digits are its n coordinates, its layer (0 for +, 1 for -)
+    and its k coordinates, most significant first, each counted from its
+    least value on the indexing.  Digit j has spare[j] unused values above
+    its largest, so a shift of at most spare[j] in each digit j is a fixed
+    offset of the key, and never gives the key of another indexed site.
+    The sites of one (n, layer) hold keys [base, base + strides[len(n)]).
+    """
+
+    def __init__(self, idx: Indexing, spare: Sequence[int]):
+        digits = np.column_stack([idx.positions[:, idx.b:], idx.layers < 0,
+                                  idx.positions[:, :idx.b]])
+        self.low = digits.min(axis=0)
+        self.span = digits.max(axis=0) + 1 - self.low
+        radix = self.span + spare
+        self.strides = np.append(np.cumprod(radix[:0:-1])[::-1], 1)
+        self.code = (digits - self.low) @ self.strides
+        self.order = np.argsort(self.code)
+        self.sorted = self.code[self.order]
+
+    def find(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which target keys are keys of indexed sites, and those rows."""
+        at = np.searchsorted(self.sorted, target).clip(max=self.code.size - 1)
+        hit = self.sorted[at] == target
+        return hit, self.order[at[hit]]
+
+
+def _short_range_entries(keys: _SiteKeys, kernel: dict, scale: float
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of scale * S on the indexed sites: the
+    kernel entry (dk, n, xi, xi') couples each indexed site (k, n, xi) to
+    (k - dk, n, xi') when that site is indexed too.  Each entry is joined
+    with the rows of its (n, xi) group only, so no dense block is built."""
+    dk, n, xi, xip = (np.array(column) for column in zip(*kernel))
+    d = n.shape[1]
+    group = np.column_stack([n, xi < 0]) - keys.low[:d + 1]
+    inside = np.all((group >= 0) & (group < keys.span[:d + 1]), axis=1)
+    base = group @ keys.strides[:d + 1]
+    start, stop = np.searchsorted(keys.sorted, base + [[0], [keys.strides[d]]])
+    count = np.where(inside, stop - start, 0)
+    entry = np.repeat(np.arange(count.size), count)
+    rows = keys.order[np.arange(count.sum())
+                      + np.repeat(start - np.cumsum(count) + count, count)]
+    # The layer digit goes from (1 - xi) / 2 to (1 - xi') / 2.
+    shift = dk @ keys.strides[d + 1:] + (xip - xi) // 2 * keys.strides[d]
+    hit, cols = keys.find(keys.code[rows] - shift[entry])
+    values = scale * np.array(list(kernel.values()), dtype=complex)
+    return rows[hit], cols, values[entry[hit]]
 
 
 def lattice_operator(params: ModelParams, omega: Sequence[float],
-                     idx: Indexing, sigma: float = 0.0) -> sparse.csr_matrix:
-    """D + epsilon * (hopping in n, per layer) on the indexed sites, as a
-    complex CSR matrix.  Hopping reaches only sites inside the indexing
-    (zero Dirichlet condition outside)."""
-    m = idx.m
-    rows, cols = [np.arange(m)], [np.arange(m)]
-    vals = [diagonal_values(params, omega, idx, sigma)]
+                     idx: Indexing, sigma: float = 0.0,
+                     S: Optional[ShortRangeOperator] = None
+                     ) -> sparse.csr_matrix:
+    """D + epsilon * (hopping in n, per layer) + delta * S on the indexed
+    sites, as a complex CSR matrix.  Hopping and S reach only sites inside
+    the indexing (zero Dirichlet condition outside)."""
+    m, d = idx.m, params.d
+    kernel = S.kernel if S is not None and params.delta != 0.0 else {}
+    reach = max((sup_norm(key[0]) for key in kernel), default=0)
+    keys = _SiteKeys(idx, [1] * (d + 1) + [reach] * idx.b)
+    terms = [(np.arange(m), np.arange(m),
+              diagonal_values(params, omega, idx, sigma))]
     if params.epsilon != 0.0:
-        i, j = _hopping_pairs(idx, params.d)
-        rows += [i, j]
-        cols += [j, i]
-        vals.append(np.full(2 * i.size, params.epsilon))
-    return sparse.csr_matrix(
-        (np.concatenate(vals).astype(complex),
-         (np.concatenate(rows), np.concatenate(cols))), shape=(m, m))
+        # Pairs (i, j) with site j = site i + e_s in one n coordinate s.
+        hit, j = keys.find((keys.code[:, None] + keys.strides[:d]).ravel())
+        i = np.flatnonzero(hit) // d
+        hop = np.full(i.size, params.epsilon)
+        terms += [(i, j, hop), (j, i, hop)]
+    if kernel:
+        terms.append(_short_range_entries(keys, kernel, params.delta))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    return sparse.csr_matrix((vals.astype(complex), (rows, cols)),
+                             shape=(m, m))
 
 
 def box_operator(params: ModelParams, R: int) -> sparse.csr_matrix:
@@ -166,47 +207,8 @@ def assemble_H(params: ModelParams, omega: Sequence[float], region: Region,
     """Full operator: diagonal + epsilon * (hopping in n, per layer)
     + delta * S, restricted to the region minus exclusions."""
     idx = index_region(region, params.b, exclude)
-    H = lattice_operator(params, omega, idx, sigma).toarray()
-    if S is not None and params.delta != 0.0 and S.kernel:
-        _add_short_range(H, idx, S, params.delta)
+    H = lattice_operator(params, omega, idx, sigma, S).toarray()
     return AssembledOperator(region, idx, H)
-
-
-def _add_short_range(H: np.ndarray, idx: Indexing, S: ShortRangeOperator,
-                     scale: float) -> None:
-    """H += scale * S in place, one n block at a time: S is diagonal in n
-    and Toeplitz in k, so the (n, n) block gathers the kernel at k - k'.
-    Each block's kernel table (layer, layer', k - k') is wide enough for
-    every pair of the block, so its flat offset splits into a row part and
-    a column part."""
-    pos, b = idx.positions, idx.b
-    layer = (idx.layers < 0).astype(np.int64)
-    ns, inverse, counts = np.unique(pos[:, b:], axis=0, return_inverse=True,
-                                    return_counts=True)
-    groups = np.split(np.argsort(inverse.ravel(), kind="stable"),
-                      np.cumsum(counts)[:-1])
-    rows_by_n = dict(zip(map(tuple, ns.tolist()), groups))
-    keys_by_n = {}
-    for key in S.kernel:
-        keys_by_n.setdefault(key[1], []).append(key)
-    for n, keys in keys_by_n.items():
-        I = rows_by_n.get(n)
-        if I is None:
-            continue
-        k = pos[I, :b]
-        R = max(int(np.ptp(k, axis=0).max()),
-                max(sup_norm(key[0]) for key in keys))
-        W = 2 * R + 1
-        table = np.zeros((2, 2) + (W,) * b, dtype=complex)
-        for key in keys:
-            table[(int(key[2] < 0), int(key[3] < 0))
-                  + tuple(c + R for c in key[0])] = S.kernel[key]
-        strides = W ** np.arange(b - 1, -1, -1)
-        rows = 2 * W ** b * layer[I] + k @ strides + R * strides.sum()
-        cols = W ** b * layer[I] - k @ strides
-        block = table.ravel()[rows[:, None] + cols[None, :]]
-        block *= scale
-        H[np.ix_(I, I)] += block
 
 
 # -- Green's functions -------------------------------------------------
@@ -499,26 +501,27 @@ class StabilityReport:
     max_entry_excess: Optional[float]
 
 
-def _lattice_decay_sum(r: int, c: float, radius: int = 60) -> float:
-    """Sum of exp(-c |x|) over Z^r in the sup norm, truncated."""
+def _lattice_decay_sum(r: int, c: float) -> float:
+    """Sum of exp(-c |x|) over Z^r in the sup norm, truncated at |x| = 60."""
     total = 1.0
-    for m in range(1, radius + 1):
+    for m in range(1, 61):
         shell = (2 * m + 1) ** r - (2 * m - 1) ** r
         total += shell * math.exp(-c * m)
     return total
 
 
 def perturbation_stability(A: np.ndarray, B: np.ndarray,
-                           positions: np.ndarray, eps1: float, c: float,
-                           C2: float = 1.0) -> StabilityReport:
+                           positions: np.ndarray, eps1: float,
+                           c: float) -> StabilityReport:
     """Neumann-series stability of the inverse under a decaying
     perturbation.
 
     eps1 is the certified inverse bound of A (||A^{-1}|| <= 1/eps1); the
     perturbation size eps2 is measured from B against the decay profile
-    exp(-c |x - x'|).  When the smallness product is at most 1/2, the
-    perturbed inverse must satisfy ||(A+B)^{-1}|| <= 2/eps1 and the
-    entrywise difference bound eps1^{-1} exp(-c |x - x'|).
+    exp(-c |x - x'|).  When the smallness product, whose polynomial factor
+    (1 + diam)^C2 has C2 = 1, is at most 1/2, the perturbed inverse must
+    satisfy ||(A+B)^{-1}|| <= 2/eps1 and the entrywise difference bound
+    eps1^{-1} exp(-c |x - x'|).
     """
     m = A.shape[0]
     Ainv = np.linalg.inv(A)
@@ -528,7 +531,7 @@ def perturbation_stability(A: np.ndarray, B: np.ndarray,
     diam = float(dist.max())
     eps2 = float(np.max(np.abs(B) * np.exp(c * dist)))
     r = positions.shape[1]
-    hyp = (m ** 2 * math.exp(2 * c * diam) * (1 + diam) ** C2
+    hyp = (m ** 2 * math.exp(2 * c * diam) * (1 + diam)
            * eps2 / eps1 * _lattice_decay_sum(r, c))
     if hyp > 0.5:
         return StabilityReport(hyp, False, None, None, None, None)

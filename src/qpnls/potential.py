@@ -97,14 +97,13 @@ class ValidationReport:
     notes: tuple[str, ...] = ()
 
 
-def validate(V: TrigPoly, grid_points: int = 64,
-             variance_tol: float = 1e-12) -> ValidationReport:
+def validate(V: TrigPoly) -> ValidationReport:
     """Check the structural conditions on the frequency set and the
     per-coordinate non-degeneracy of V.
 
     Non-degeneracy is a numeric proxy: for each coordinate s and each
-    frozen assignment of the other coordinates on a small sample grid,
-    the restriction of V to theta_s must have variance above tolerance.
+    frozen assignment of the other coordinates, the restriction of V to
+    theta_s, sampled on a 64-point grid, must have variance above 1e-12.
     """
     failures = []
     notes = []
@@ -123,24 +122,24 @@ def validate(V: TrigPoly, grid_points: int = 64,
             break
     if not failures:
         rng = np.random.default_rng(12345)
-        ts = np.linspace(0.0, 1.0, grid_points, endpoint=False)
+        ts = np.linspace(0.0, 1.0, 64, endpoint=False)
         for s in range(V.d):
             frozen_draws = 1 if V.d == 1 else 4
             degenerate = False
             for _ in range(frozen_draws):
                 other = rng.random(V.d)
-                vals = np.empty(grid_points)
+                vals = np.empty(ts.size)
                 for i, t in enumerate(ts):
                     th = other.copy()
                     th[s] = t
                     vals[i] = V(th)
-                if vals.var() <= variance_tol:
+                if vals.var() <= 1e-12:
                     degenerate = True
             if degenerate:
                 failures.append(f"degenerate in coordinate {s}")
         notes.append(
-            "non-degeneracy checked numerically on a "
-            f"{grid_points}-point grid (proxy, variance tol {variance_tol:g})")
+            "non-degeneracy checked numerically on a 64-point grid "
+            "(proxy, variance tol 1e-12)")
     return ValidationReport(passed=not failures, failures=tuple(failures),
                             notes=tuple(notes))
 

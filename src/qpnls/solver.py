@@ -115,13 +115,16 @@ def _flip_k(arr: np.ndarray, b: int) -> np.ndarray:
     return np.flip(arr, axis=tuple(range(b)))
 
 
+def _box_at(idx: Indexing, radii: Sequence[int]) -> tuple:
+    """Fancy index of the indexed sites in a layered box array centered at
+    the origin with the given radii (k axes, n axes, then + before -)."""
+    return tuple((idx.positions + radii).T) + ((idx.layers < 0).astype(int),)
+
+
 def _gather(state: FourierState, idx: Indexing) -> np.ndarray:
-    """Amplitudes at indexed sites of the state's k box that lie at most
-    one step in n outside its n box (zero there)."""
-    Rk, Rn = state.radii
-    radii = [Rk] * state.b + [Rn + 1] * state.d
-    at = tuple((idx.positions + radii).T) + ((idx.layers < 0).astype(int),)
-    return recenter(state.amp, radii)[at]
+    """Amplitudes at the indexed sites, zero outside the state's box."""
+    radii = np.abs(idx.positions).max(axis=0)
+    return recenter(state.amp, radii)[_box_at(idx, radii)]
 
 
 def anchor_sites(params: ModelParams) -> dict:
@@ -307,14 +310,7 @@ def newton_step(state: FourierState, omega: Sequence[float],
         state, params, itertools.product(range(-N, N + 1), repeat=d),
         dk_radius=2 * N)
     op = assemble_H(params, omega, region, sigma=0.0, S=S, exclude=excl)
-    # The cube's sites minus the frozen ones, in the operator's row order.
-    free = np.ones((2 * N + 1,) * (b + d) + (2,), dtype=bool)
-    for site in excl:
-        at = _box_index(site, N, N)
-        if at is not None:
-            free[at] = False
-    residual = evaluate_F(state, omega, params)
-    rhs = recenter(residual.amp, (N,) * (b + d))[free]
+    rhs = _gather(evaluate_F(state, omega, params), op.indexing)
     try:
         delta = np.linalg.solve(op.matrix, rhs)
     except np.linalg.LinAlgError as exc:
@@ -325,7 +321,7 @@ def newton_step(state: FourierState, omega: Sequence[float],
     Rk, Rn = state.radii
     radii = (max(Rk, N),) * b + (max(Rn, N),) * d
     amp = recenter(state.amp, radii)
-    amp[tuple(slice(r - N, r + N + 1) for r in radii)][free] -= delta
+    amp[_box_at(op.indexing, radii)] -= delta
     corr = float(np.max(np.abs(delta))) if delta.size else 0.0
     return FourierState(amp, b, d, state.anchors), corr
 

@@ -6,8 +6,9 @@ import pytest
 from qpnls.lattice import Region, frozen_mode_sites, index_region
 from qpnls.linop import (LDEParams, ShortRangeOperator, SingularOperatorError,
                          assemble_D, assemble_H, diagonal_value, dump_matrix,
-                         green, lde_region_family, linear_localization_diagnostic,
-                         load_matrix, min_diagonal_gap, operator_norm,
+                         green, lattice_operator, lde_region_family,
+                         linear_localization_diagnostic, load_matrix,
+                         min_diagonal_gap, operator_norm,
                          perturbation_stability, schur_green, sigma_sweep)
 from qpnls.linop import _sweep_region
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
@@ -144,6 +145,9 @@ class TestAssembleH:
                     dk = (k[0] - kp[0], k[1] - kp[1])
                     hand[i, j] += p.delta * S.kernel.get((dk, n, xi, xip), 0)
         assert np.abs(op.matrix - hand).max() <= 1e-14
+        # The sparse builder stores the nonzeros only, no dense S block.
+        H = lattice_operator(p, om, op.indexing, sigma, S)
+        assert H.nnz == np.count_nonzero(hand)
 
     def test_contract_violations_detected(self):
         bad = ShortRangeOperator(kernel={((1,), (0,), 1, 1): 1.0})

@@ -244,6 +244,16 @@ class TestNewtonStep:
         assert r1 <= 100 * corr ** 2 + 1e-14
         assert r1 < r0
 
+    def test_singular_operator_reported(self):
+        # With omega = mu_1 the diagonal -k . omega + mu_n is exactly zero
+        # at ((1,), (1,), +), which the anchor ((1,), (0,), +) does not
+        # freeze; at eps = delta = 0 that zero is the whole row.
+        from qpnls.linop import SingularOperatorError
+        p = reference_params(0.0, 0.0)
+        with pytest.raises(SingularOperatorError) as err:
+            newton_step(initial_state(p), [p.mu_n((1,))], p, N=2)
+        assert err.value.smallest_singular_value == 0.0
+
 
 class TestSymmetrize:
     def test_symmetric_unchanged(self):

@@ -88,6 +88,8 @@ def load_config(path: Optional[str], overrides: list[str]) -> dict:
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         _deep_update(config, user)
     for item in overrides:
         if "=" not in item:
@@ -117,20 +119,12 @@ def validate_config(config: dict) -> potential.ModelParams:
                           + "; ".join(report.failures))
     if "seed" not in config:
         raise ConfigError("config must carry a seed")
-    try:
-        _dioph_params(config)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid Diophantine parameters: {exc}") from exc
     for section, key, integer, low, strict, optional in _STAGE_FIELDS:
         _check_field(config, section, key, integer, low, strict, optional)
     if config["ldt"]["sigma_min"] > config["ldt"]["sigma_max"]:
         raise ConfigError("ldt.sigma_min must not exceed ldt.sigma_max")
     if not isinstance(config["solver"].get("q_before_p", True), bool):
         raise ConfigError("solver.q_before_p must be true or false")
-    try:
-        _lde_params(config)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid lde parameters: {exc}") from exc
     return params
 
 
@@ -139,6 +133,9 @@ def validate_config(config: dict) -> potential.ModelParams:
 _STAGE_FIELDS = (
     ("regions", "r", True, 1, False, False),
     ("regions", "N", True, 1, False, False),
+    ("dioph", "C1_exp", False, 0, True, False),
+    ("dioph", "threshold_exp", False, 0, True, True),
+    ("dioph", "L", True, 1, False, False),
     ("ldt", "M", True, 1, False, False),
     ("ldt", "n_range", True, 0, False, False),
     ("ldt", "sigma_min", False, None, False, False),
@@ -379,7 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, args.set)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, bad JSON or bytes
         record = {"error": "validation", "detail": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return EXIT_VALIDATION

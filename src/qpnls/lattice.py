@@ -212,11 +212,12 @@ class Region:
 
 def enumerate_elementary_regions(r: int, N: int) -> list[Region]:
     """All elementary regions of size N centered at the origin: the full
-    cube plus every corner-cut variant with at least two active relations.
+    cube plus every corner-cut variant with at least two active relations:
+    3^r - 2r regions, only the cube when r = 1.
 
-    Regions whose site sets coincide are returned once, compared by
-    points() (all share the cube's box) when the cube has at most 10,000
-    sites.  For r < 2 only the cube exists (no valid multi-cut).
+    Their site sets are distinct: each cut removes a nonempty corner, and
+    two patterns that differ at coordinate j differ on the points with
+    x_j = 0 or on one side of it.
     """
     if N <= 0:
         raise ValueError("region size must be >= 1")
@@ -224,20 +225,10 @@ def enumerate_elementary_regions(r: int, N: int) -> list[Region]:
         raise ValueError("dimension must be >= 1")
     cube = Region.cube(r, N)
     out = [cube]
-    if r < 2:
-        return out
-    total_sites = (2 * N + 1) ** r
-    seen = {cube.points().tobytes()} if total_sites <= 10_000 else None
     for pattern in itertools.product((LESS, GREATER, None), repeat=r):
-        if sum(1 for s in pattern if s is not None) < 2:
-            continue
-        reg = Region(cube.lo, cube.hi, sign_cuts=pattern, cut_origin=(0,) * r)
-        if seen is not None:
-            key = reg.points().tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(reg)
+        if sum(1 for s in pattern if s is not None) >= 2:
+            out.append(Region(cube.lo, cube.hi, sign_cuts=pattern,
+                              cut_origin=(0,) * r))
     return out
 
 

@@ -502,12 +502,20 @@ class StabilityReport:
 
 
 def _lattice_decay_sum(r: int, c: float) -> float:
-    """Sum of exp(-c |x|) over Z^r in the sup norm, truncated at |x| = 60."""
-    total = 1.0
-    for m in range(1, 61):
-        shell = (2 * m + 1) ** r - (2 * m - 1) ** r
-        total += shell * math.exp(-c * m)
-    return total
+    """Sum of exp(-c |x|) over Z^r in the sup norm, in closed form.
+
+    With q = exp(-c), summing the shells (2m+1)^r - (2m-1)^r by parts
+    gives (1 - q) sum_{m>=0} (2m+1)^r q^m.  That series is (2q d/dq + 1)^r
+    applied to 1/(1 - q), which is P(q)/(1 - q)^(r+1) with P a polynomial
+    of positive integer coefficients; so the sum is P(q)/(1 - q)^r.
+    """
+    P = [1]  # coefficients of P, lowest degree first; 1/(1-q) to start
+    for e in range(1, r + 1):
+        # P/(1-q)^e -> [(2qP' + P)(1 - q) + 2e q P] / (1-q)^(e+1)
+        P = [(2 * j + 1) * pj + (2 * e - 2 * j + 1) * before
+             for j, (pj, before) in enumerate(zip(P + [0], [0] + P))]
+    q = math.exp(-c)
+    return sum(pj * q ** j for j, pj in enumerate(P)) / (-math.expm1(-c)) ** r
 
 
 def perturbation_stability(A: np.ndarray, B: np.ndarray,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,38 +36,36 @@ class FourierState:
     amp has shape (2Rk+1,)*b + (2Rn+1,)*d + (2,): k axes, n axes, then the
     layer axis with + first, so its C order is index_region's site order
     on the box.  The minus layer mirrors the plus layer through conjugacy
-    (coefficient at (k, n, -) equals the conjugate at (-k, n, +)), and
-    the anchor amplitudes at the excited sites, with their mirrors, are
-    written into amp on construction and so held exactly.
+    (coefficient at (k, n, -) equals the conjugate at (-k, n, +)).  The
+    anchor amplitudes at the excited sites are written by from_coeffs;
+    Newton never corrects them and symmetrize maps them to themselves.
     """
 
     amp: np.ndarray
     b: int
-    d: int
-    anchors: dict = field(default_factory=dict)  # (k, n, +1) -> amplitude
-
-    def __post_init__(self):
-        Rk, Rn = self.radii
-        for (k, n, xi), value in self.anchors.items():
-            if _box_index((k, n, xi), Rk, Rn) is None:
-                raise ValueError(f"anchor {(k, n, xi)} outside the box")
-            self.amp[_box_index((k, n, xi), Rk, Rn)] = value
-            mirror = (tuple(-c for c in k), n, -xi)
-            self.amp[_box_index(mirror, Rk, Rn)] = np.conj(value)
 
     @classmethod
     def from_coeffs(cls, coeffs: dict, b: int, d: int,
                     anchors: dict) -> "FourierState":
-        """State from a {(k, n, xi): value} map, on the smallest box that
-        holds its sites and the anchors."""
-        sites = list(coeffs) + list(anchors)
-        Rk, Rn = (max((sup_norm(s[j]) for s in sites), default=0)
+        """State from a {(k, n, xi): value} map plus the plus-layer anchors
+        and their conjugate mirrors, on the smallest box that holds them."""
+        values = dict(coeffs)
+        for (k, n, xi), value in anchors.items():
+            values[(k, n, xi)] = value
+            values[(tuple(-c for c in k), n, -xi)] = np.conj(value)
+        Rk, Rn = (max((sup_norm(s[j]) for s in values), default=0)
                   for j in (0, 1))
         amp = np.zeros((2 * Rk + 1,) * b + (2 * Rn + 1,) * d + (2,),
                        dtype=complex)
-        for site, value in coeffs.items():
-            amp[_box_index(site, Rk, Rn)] = value
-        return cls(amp, b, d, dict(anchors))
+        if values:
+            idx = index_sites(values)
+            amp[_box_at(idx, (Rk,) * b + (Rn,) * d)] = \
+                [values[site] for site in idx.sites]
+        return cls(amp, b)
+
+    @property
+    def d(self) -> int:
+        return self.amp.ndim - self.b - 1
 
     @property
     def radii(self) -> tuple[int, int]:
@@ -86,8 +84,7 @@ class FourierState:
                                       self.amp[tuple(nz.T)].tolist())}
 
     def get(self, site: Site) -> complex:
-        at = _box_index(site, *self.radii)
-        return 0.0 + 0.0j if at is None else complex(self.amp[at])
+        return complex(_gather(self, index_sites([site]))[0])
 
     def support_radius(self) -> int:
         """Largest sup norm of (k, n) over the nonzero amplitudes."""
@@ -98,16 +95,6 @@ class FourierState:
     def conjugacy_defect(self) -> float:
         u, v = self.amp[..., 0], self.amp[..., 1]
         return float(np.abs(u - np.conj(_flip_k(v, self.b))).max(initial=0.0))
-
-
-def _box_index(site: Site, Rk: int, Rn: int) -> Optional[tuple]:
-    """Array index of a layered site in the box of radii (Rk, Rn), or None
-    when the site lies outside it."""
-    k, n, xi = site
-    if sup_norm(k) > Rk or sup_norm(n) > Rn:
-        return None
-    return (tuple(c + Rk for c in k) + tuple(c + Rn for c in n)
-            + (0 if xi > 0 else 1,))
 
 
 def _flip_k(arr: np.ndarray, b: int) -> np.ndarray:
@@ -148,7 +135,7 @@ def symmetrize(state: FourierState) -> FourierState:
     u, v = state.amp[..., 0], state.amp[..., 1]
     avg = 0.5 * (u + np.conj(_flip_k(v, state.b)))
     return FourierState(np.stack([avg, np.conj(_flip_k(avg, state.b))], -1),
-                        state.b, state.d, state.anchors)
+                        state.b)
 
 
 # -- convolutions in k at fixed n --------------------------------------
@@ -186,7 +173,7 @@ def convolution_nonlinearity(state: FourierState, p: int) -> FourierState:
     """
     b = state.b
     w = _uv_powers(state.amp[..., 0], state.amp[..., 1], b, p)[-1]
-    return FourierState(_conv(state.amp, w[..., None], b), b, state.d)
+    return FourierState(_conv(state.amp, w[..., None], b), b)
 
 
 # -- residual ----------------------------------------------------------
@@ -210,7 +197,7 @@ def evaluate_F(state: FourierState, omega: Sequence[float],
               @ recenter(state.amp, radii).ravel()
               + params.delta * recenter(nl.amp, radii).ravel())
     return FourierState(values.reshape(tuple(2 * r + 1 for r in radii)
-                                       + (2,)), b, d)
+                                       + (2,)), b)
 
 
 def residual_sup(residual: FourierState) -> float:
@@ -323,7 +310,7 @@ def newton_step(state: FourierState, omega: Sequence[float],
     amp = recenter(state.amp, radii)
     amp[_box_at(op.indexing, radii)] -= delta
     corr = float(np.max(np.abs(delta))) if delta.size else 0.0
-    return FourierState(amp, b, d, state.anchors), corr
+    return FourierState(amp, b), corr
 
 
 # -- full run ----------------------------------------------------------
@@ -355,18 +342,25 @@ class Solution:
     params: ModelParams
     certificates: Certificates
     trace: NewtonTrace
-    converged: bool
-    newton_steps: int
     stop_reason: str  # "converged", "stalled" or "max_steps"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def newton_steps(self) -> int:
+        return len(self.trace.steps)
 
 
 def decay_sum(state: FourierState, params: ModelParams) -> float:
     """Weighted amplitude sum over the plus layer away from the anchors:
     sum |u(k, n)| exp(|k| + |n|)."""
     Rk, Rn = state.radii
+    at = _box_at(index_sites(anchor_sites(params)),
+                 (Rk,) * state.b + (Rn,) * state.d)
     plus = np.abs(state.amp[..., 0])
-    for site in anchor_sites(params):
-        plus[_box_index(site, Rk, Rn)[:-1]] = 0.0
+    plus[at[:-1]] = 0.0  # the anchors lie on the plus layer
     weight = np.exp(np.add.outer(box_sup_norms(Rk, state.b),
                                  box_sup_norms(Rn, state.d)))
     return float(np.sum(plus * weight))
@@ -404,11 +398,9 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
     steps = []
     res = residual_sup(evaluate_F(state, omega, params))
     if res < tol:
-        trace = NewtonTrace(tuple(steps))
         return Solution(state, tuple(omega), params,
-                        certificates_for(state, omega, params), trace,
-                        converged=True, newton_steps=0,
-                        stop_reason="converged")
+                        certificates_for(state, omega, params),
+                        NewtonTrace(()), stop_reason="converged")
     growth = 0
     prev_res = res
     for r in range(r_max):
@@ -421,7 +413,7 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
             omega = solve_Q(state, params, omega)
         res = residual_sup(evaluate_F(state, omega, params))
         anchor_err = max(abs(state.get(s) - v)
-                         for s, v in state.anchors.items())
+                         for s, v in anchor_sites(params).items())
         steps.append({"r": r, "N": N, "residual": res, "correction": corr,
                       "omega": tuple(float(x) for x in omega),
                       "conjugacy_defect": state.conjugacy_defect(),
@@ -438,16 +430,13 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
                 NewtonTrace(tuple(steps)))
         prev_res = res
     omega = solve_Q(state, params, omega)
-    trace = NewtonTrace(tuple(steps))
     certs = certificates_for(state, omega, params)
-    converged = bool(certs.residual < tol)
     # Stalled: unconverged after two steps at N_cap whose residual fell by
     # less than half.
     stalled = (len(steps) >= 2 and all(s["N"] == N_cap for s in steps[-2:])
                and steps[-1]["residual"] > 0.5 * steps[-2]["residual"])
     return Solution(state, tuple(float(x) for x in omega), params, certs,
-                    trace, converged=converged, newton_steps=len(steps),
-                    stop_reason="converged" if converged
+                    NewtonTrace(tuple(steps)), stop_reason="converged" if certs.residual < tol
                     else "stalled" if stalled else "max_steps")
 
 
@@ -478,9 +467,6 @@ def solution_from_record(rec: dict) -> Solution:
               complex(row["re"], row["im"]) for row in rec["coeffs"]}
     state = FourierState.from_coeffs(coeffs, params.b, params.d,
                                      anchor_sites(params))
-    trace = NewtonTrace(tuple(rec["trace"]))
     return Solution(state, tuple(float(x) for x in rec["omega"]), params,
-                    Certificates(**rec["certificates"]), trace,
-                    bool(rec["converged"]),
-                    int(rec["newton_steps"]),
-                    rec.get("stop_reason", "unknown"))  # older records
+                    Certificates(**rec["certificates"]),
+                    NewtonTrace(tuple(rec["trace"])), rec["stop_reason"])

@@ -44,7 +44,8 @@ class TestConfig:
         'ldt.M="two"', "ldt.sigma_min=3.0", "lde.norm_exp=0",
         "lde.gamma_target=-1", "solver.N_cap=0", "solver.tol=0",
         "solver.q_before_p=1", "evolve.dt=0", "evolve.T=-1",
-        "evolve=5"])
+        "evolve=5", "dioph=5", 'dioph.threshold_exp="x"', "dioph.L=2.5",
+        "dioph.C1_exp=0"])
     def test_stage_sections_validated(self, override):
         with pytest.raises(ConfigError):
             load_config(None, [override])
@@ -145,6 +146,16 @@ class TestCli:
     def test_section_error_exit_code(self, tmp_path, capsys):
         code = main(["regions", "--set", "regions.N=0",
                      "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe"],
+                             ids=["top-level-list", "not-utf8"])
+    def test_bad_config_file_exit_code(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        code = main(["regions", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 

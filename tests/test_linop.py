@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from qpnls.linop import (LDEParams, ShortRangeOperator, SingularOperatorError,
                          linear_localization_diagnostic, load_matrix,
                          min_diagonal_gap, operator_norm,
                          perturbation_stability, schur_green, sigma_sweep)
-from qpnls.linop import _sweep_region
+from qpnls.linop import _lattice_decay_sum, _sweep_region
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 
@@ -340,6 +341,27 @@ class TestSweepOracle:
                                      LDEParams())
         assert singular >= 1
         assert not stats.good[np.flatnonzero(grid == resonance)[0]]
+
+
+class TestLatticeDecaySum:
+    @pytest.mark.parametrize("c", [0.05, 0.1, 1.0])
+    def test_one_dimension_closed_form(self, c):
+        q = math.exp(-c)
+        assert _lattice_decay_sum(1, c) == pytest.approx((1 + q) / (1 - q),
+                                                         rel=1e-13)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("c", [0.05, 0.1, 1.0])
+    def test_matches_high_precision_sum(self, r, c):
+        # The origin plus the sup-norm shells |x| = m, (2m+1)^r - (2m-1)^r
+        # points each, at 50 digits.
+        with mpmath.workdps(50):
+            q = mpmath.exp(-c)
+            ref = 1 + mpmath.nsum(
+                lambda m: ((2 * m + 1) ** r - (2 * m - 1) ** r) * q ** m,
+                [1, mpmath.inf])
+        assert _lattice_decay_sum(r, c) == pytest.approx(float(ref),
+                                                         rel=1e-13)
 
 
 class TestPerturbationStability:

@@ -29,9 +29,9 @@ class DiophParams:
     """Explicit stand-ins for the abstract constants of the small-divisor
     estimates.  All exponents are configurable; defaults are desk-scale."""
 
+    L: int
     C1_exp: float = 8.0
     threshold_exp: Optional[float] = None  # default 1/(8b), filled per use
-    L: int = 8
 
     def __post_init__(self):
         if self.C1_exp <= 0:

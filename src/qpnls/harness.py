@@ -37,8 +37,7 @@ DEFAULT_CONFIG = {
     "params": potential.reference_params().to_record(),
     "dioph": {"C1_exp": 8.0, "threshold_exp": 3.0, "L": 4},
     "lde": {"gamma_target": 0.5, "norm_exp": 0.75, "dist_exp": 8.0 / 9.0},
-    "solver": {"M": 2, "r_max": 10, "tol": 1e-11, "N_cap": 16,
-               "q_before_p": True},
+    "solver": {"M": 2, "r_max": 10, "tol": 1e-11, "N_cap": 16},
     "evolve": {"T": 10.0, "dt": 1e-3, "tail_radius": None},
     "regions": {"r": 2, "N": 2},
     "ldt": {"M": 2, "n_range": 2, "sigma_min": -2.0, "sigma_max": 2.0,
@@ -117,14 +116,13 @@ def validate_config(config: dict) -> potential.ModelParams:
     if not report.passed:
         raise ConfigError("potential fails validation: "
                           + "; ".join(report.failures))
-    if "seed" not in config:
-        raise ConfigError("config must carry a seed")
+    seed = config.get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed = {seed!r}: expected an integer")
     for section, key, integer, low, strict, optional in _STAGE_FIELDS:
         _check_field(config, section, key, integer, low, strict, optional)
     if config["ldt"]["sigma_min"] > config["ldt"]["sigma_max"]:
         raise ConfigError("ldt.sigma_min must not exceed ldt.sigma_max")
-    if not isinstance(config["solver"].get("q_before_p", True), bool):
-        raise ConfigError("solver.q_before_p must be true or false")
     return params
 
 
@@ -176,17 +174,15 @@ def _check_field(config: dict, section: str, key: str, integer: bool,
 
 
 def _dioph_params(config: dict) -> diophantine.DiophParams:
-    dc = config.get("dioph", {})
-    return diophantine.DiophParams(C1_exp=dc.get("C1_exp", 8.0),
-                                   threshold_exp=dc.get("threshold_exp"),
-                                   L=int(dc.get("L", 4)))
+    dc = config["dioph"]
+    return diophantine.DiophParams(L=int(dc["L"]), C1_exp=dc["C1_exp"],
+                                   threshold_exp=dc.get("threshold_exp"))
 
 
 def _lde_params(config: dict) -> linop.LDEParams:
-    l = config.get("lde", {})
+    l = config["lde"]
     return linop.LDEParams(gamma_target=l.get("gamma_target"),
-                           norm_exp=l.get("norm_exp", 0.75),
-                           dist_exp=l.get("dist_exp", 8.0 / 9.0))
+                           norm_exp=l["norm_exp"], dist_exp=l["dist_exp"])
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -266,8 +262,7 @@ def stage_solve(config: dict, out: Path) -> dict:
     sc = config["solver"]
     sol = solver.run_solver(
         params, M=int(sc["M"]), r_max=int(sc["r_max"]),
-        tol=float(sc["tol"]), N_cap=int(sc["N_cap"]),
-        q_before_p=bool(sc.get("q_before_p", True)))
+        tol=float(sc["tol"]), N_cap=int(sc["N_cap"]))
     record = solver.solution_to_record(sol)
     record["solve_config_hash"] = _solve_config_hash(config)
     atomic_write_text(out / "solution.json", json.dumps(
@@ -297,7 +292,7 @@ def stage_evolve(config: dict, out: Path) -> dict:
         solve_info = stage_solve(config, out)
         if solve_info["status"] != "pass":
             return {"status": "fail", "outputs": solve_info["outputs"],
-                    "reason": "solver did not converge"}
+                    "reason": "solution not converged"}
         record = json.loads(path.read_text())
     sol = solver.solution_from_record(record)
     ec = config["evolve"]
@@ -348,8 +343,7 @@ def run(config: dict, command: str, out_dir: str) -> dict:
             info = STAGES[name](config, out)
         except RuntimeError as exc:
             # Every numerical failure is a RuntimeError: singular operators,
-            # Newton divergence, RK4 blow-up, a frequency solve that does
-            # not converge.
+            # Newton divergence, RK4 blow-up.
             info = {"status": "numeric-error", "error": str(exc)}
         info["wall_time_s"] = round(time.perf_counter() - t0, 6)
         manifest["stages"][name] = info

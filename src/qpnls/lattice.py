@@ -86,11 +86,10 @@ class Region:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def cube(r: int, N: int, center: Optional[IntVec] = None) -> "Region":
+    def cube(r: int, N: int) -> "Region":
         if N < 0:
             raise ValueError("cube radius must be >= 0")
-        c = center if center is not None else (0,) * r
-        return Region(tuple(ci - N for ci in c), tuple(ci + N for ci in c))
+        return Region((-N,) * r, (N,) * r)
 
     @staticmethod
     def box(lo: Iterable[int], hi: Iterable[int]) -> "Region":

@@ -25,8 +25,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .lattice import (Indexing, Region, Site, index_region, index_sites,
-                      sup_norm)
+from .lattice import (Indexing, Region, Site, enumerate_elementary_regions,
+                      index_region, index_sites, sup_norm)
 from .potential import ModelParams
 
 
@@ -370,12 +370,9 @@ class SweepStats:
 
 
 def lde_region_family(params: ModelParams, M: int,
-                      n_range: Optional[int] = None) -> list[tuple[Region, str]]:
+                      n_range: int) -> list[tuple[Region, str]]:
     """Regions used for classification sweeps: elementary regions of size
-    M translated to (0, n) for |n| up to 10 M."""
-    from .lattice import enumerate_elementary_regions
-    if n_range is None:
-        n_range = 10 * M
+    M translated to (0, n) for |n| up to n_range."""
     b, d = params.b, params.d
     shapes = enumerate_elementary_regions(b + d, M)
     out = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -213,34 +213,23 @@ def _hopping_halo(sites: Iterable[Site]) -> set:
             for k, n, xi in sites for j in range(len(n)) for step in (-1, 1)}
 
 
-def solve_Q(state: FourierState, params: ModelParams,
-            omega_guess: Optional[Sequence[float]] = None) -> np.ndarray:
+def solve_Q(state: FourierState, params: ModelParams) -> np.ndarray:
     """Solve the equations at the excited sites for the frequencies.
 
     The residual at the anchor (e_l, n_l, +) is (omega0_l - omega_l) a_l
-    + (eps hopping + delta nonlinearity at the anchor), so each sweep
-    sets omega_l += Re F_anchor / a_l.  The hopping and nonlinearity do
-    not depend on omega: the fixed point is reached immediately and later
-    sweeps only confirm it (no frequency moving by 1e-13; at most 200
-    sweeps).  Only the anchor rows and their hopping neighbours are
-    evaluated.
+    + (eps hopping + delta nonlinearity at the anchor).  Neither coupling
+    term depends on omega and every a_l is nonzero, so the solution is
+    omega0 + Re F_anchor(omega0) / a exactly.  Only the anchor rows and
+    their hopping neighbours are evaluated.
     """
-    om = np.asarray(omega_guess, dtype=float) if omega_guess is not None \
-        else base_frequencies(params)
+    om = base_frequencies(params)
     anchors = list(anchor_sites(params))
     idx = index_sites(set(anchors) | _hopping_halo(anchors))
+    F = (lattice_operator(params, om, idx) @ _gather(state, idx)
+         + params.delta
+         * _gather(convolution_nonlinearity(state, params.p), idx))
     rows = [idx[site] for site in anchors]
-    u = _gather(state, idx)
-    nl = params.delta * _gather(convolution_nonlinearity(state, params.p), idx)
-    a = np.asarray(params.a, dtype=float)
-    for _ in range(200):
-        F = (lattice_operator(params, om, idx) @ u + nl)[rows]
-        new = om + F.real / a
-        if np.max(np.abs(new - om)) < 1e-13:
-            return new
-        om = new
-    raise RuntimeError(
-        f"frequency solve did not converge; last iterates {om} -> {new}")
+    return om + F[rows].real / np.asarray(params.a, dtype=float)
 
 
 # -- Newton step -------------------------------------------------------
@@ -385,32 +374,26 @@ class DivergedError(RuntimeError):
 
 
 def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
-               tol: float = 1e-11, N_cap: int = 16,
-               q_before_p: bool = True) -> Solution:
-    """Alternating frequency solves and Newton corrections on growing
-    cubes N_r = min(M^(r+1), N_cap) until the residual is below tol.
+               tol: float = 1e-11, N_cap: int = 16) -> Solution:
+    """Newton corrections on growing cubes N_r = min(M^(r+1), N_cap)
+    until the residual is below tol, with the frequencies solved from
+    each state before the next step.
 
     The state is re-symmetrized after every correction; divergence
     (residual growth on two consecutive steps) aborts with the trace.
     """
     state = initial_state(params)
     omega = solve_Q(state, params)
-    steps = []
     res = residual_sup(evaluate_F(state, omega, params))
-    if res < tol:
-        return Solution(state, tuple(omega), params,
-                        certificates_for(state, omega, params),
-                        NewtonTrace(()), stop_reason="converged")
+    steps = []
     growth = 0
-    prev_res = res
     for r in range(r_max):
+        if res < tol:
+            break
         N = min(M ** (r + 1), N_cap)
-        if q_before_p:
-            omega = solve_Q(state, params, omega)
+        prev_res = res
         state, corr = newton_step(state, omega, params, N)
         state = symmetrize(state)
-        if not q_before_p:
-            omega = solve_Q(state, params, omega)
         res = residual_sup(evaluate_F(state, omega, params))
         anchor_err = max(abs(state.get(s) - v)
                          for s, v in anchor_sites(params).items())
@@ -421,15 +404,12 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
         if not (math.isfinite(res) and math.isfinite(corr)):
             raise DivergedError("non-finite residual or correction",
                                 NewtonTrace(tuple(steps)))
-        if res < tol:
-            break
         growth = growth + 1 if res > prev_res else 0
         if growth >= 2:
             raise DivergedError(
                 f"residual grew twice in a row (last {res:.3e})",
                 NewtonTrace(tuple(steps)))
-        prev_res = res
-    omega = solve_Q(state, params, omega)
+        omega = solve_Q(state, params)
     certs = certificates_for(state, omega, params)
     # Stalled: unconverged after two steps at N_cap whose residual fell by
     # less than half.

@@ -43,9 +43,9 @@ class TestConfig:
         "regions.N=0", "regions.r=1.5", "ldt.sigma_points=0",
         'ldt.M="two"', "ldt.sigma_min=3.0", "lde.norm_exp=0",
         "lde.gamma_target=-1", "solver.N_cap=0", "solver.tol=0",
-        "solver.q_before_p=1", "evolve.dt=0", "evolve.T=-1",
-        "evolve=5", "dioph=5", 'dioph.threshold_exp="x"', "dioph.L=2.5",
-        "dioph.C1_exp=0"])
+        "evolve.dt=0", "evolve.T=-1", "evolve=5", "dioph=5",
+        'dioph.threshold_exp="x"', "dioph.L=2.5", "dioph.C1_exp=0",
+        "seed.x=1", 'seed="abc"', "seed=1.5", "seed=true"])
     def test_stage_sections_validated(self, override):
         with pytest.raises(ConfigError):
             load_config(None, [override])
@@ -168,6 +168,15 @@ class TestCli:
         assert code == EXIT_NUMERIC
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["stages"]["solve"]["status"] == "numeric-error"
+
+    def test_divergence_exit_code(self, tmp_path):
+        code = main(["solve", "--set", "params.epsilon=0.2",
+                     "--set", "params.delta=0.2", "--set", "solver.N_cap=4",
+                     "--set", "solver.r_max=6", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["stages"]["solve"]["status"] == "numeric-error"
+        assert "grew twice" in manifest["stages"]["solve"]["error"]
 
     def test_solve_command(self, tmp_path, capsys):
         code = main(["solve", "--set", "solver.N_cap=8",

@@ -91,8 +91,7 @@ class TestRegionBasics:
         assert (0, 0) in reg.site_set()
 
     def test_contains_array_agrees_with_contains(self):
-        reg = Region.cube(2, 2, center=(1, -1))
-        reg = Region(reg.lo, reg.hi, sign_cuts=(">", "<"),
+        reg = Region((-1, -3), (3, 1), sign_cuts=(">", "<"),
                      cut_origin=(1, -1))
         pts = list(itertools.product(range(-4, 5), repeat=2))
         mask = reg.contains_array(np.asarray(pts))

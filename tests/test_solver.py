@@ -7,10 +7,11 @@ import pytest
 from qpnls.lattice import Region, index_region, sup_norm
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
-from qpnls.solver import (FourierState, anchor_sites, certificates_for,
-                          convolution_nonlinearity, decay_sum, evaluate_F,
-                          initial_state, linearization_coupling, newton_step,
-                          residual_sup, run_solver, solution_from_record,
+from qpnls.solver import (DivergedError, FourierState, anchor_sites,
+                          certificates_for, convolution_nonlinearity,
+                          decay_sum, evaluate_F, initial_state,
+                          linearization_coupling, newton_step, residual_sup,
+                          run_solver, solution_from_record,
                           solution_to_record, solve_Q, symmetrize)
 
 
@@ -193,6 +194,17 @@ class TestSolveQ:
         om = solve_Q(initial_state(p), p)
         assert np.array_equal(om, base_frequencies(p))
 
+    def test_anchor_rows_solved_exactly_b2(self):
+        # One Newton step away from the seed, the Q-solve zeroes the real
+        # part of both anchor rows to round-off.
+        p = b2_params()
+        state = initial_state(p)
+        state, _ = newton_step(state, solve_Q(state, p), p, N=2)
+        state = symmetrize(state)
+        res = evaluate_F(state, solve_Q(state, p), p)
+        for site in anchor_sites(p):
+            assert abs(res.get(site).real) <= 1e-15
+
     def test_anchor_rows_vanish_after_solve(self):
         p = reference_params()
         sol = run_solver(p)
@@ -330,12 +342,12 @@ class TestRunSolver:
         assert back.state.coeffs == sol.state.coeffs
         assert solution_to_record(back) == rec
 
-    def test_q_order_flag(self):
-        p = reference_params()
-        a = run_solver(p, q_before_p=True)
-        b = run_solver(p, q_before_p=False)
-        assert a.converged and b.converged
-        assert a.omega == pytest.approx(b.omega, abs=1e-12)
+    def test_divergence_raises_with_trace(self):
+        # At eps = delta = 0.2 the residual falls twice, then grows twice.
+        with pytest.raises(DivergedError) as err:
+            run_solver(reference_params(0.2, 0.2), N_cap=4, r_max=6)
+        assert err.value.trace.residuals() == pytest.approx(
+            [9.43e-2, 3.66e-3, 4.42e-3, 4.59e-3], rel=2e-3)
 
 
 class TestStopReason:

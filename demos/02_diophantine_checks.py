@@ -17,10 +17,13 @@ def main():
     # which only bites for astronomically small couplings
     rep = check_dc_conditions(p, DiophParams(L=6, threshold_exp=3.0))
     print("separation conditions at the reference parameters:")
-    for name, thr in sorted(rep.thresholds.items()):
-        hits = rep.by_condition(name)
+    for cond in ("i", "ii", "iii", "iv"):
+        hits = rep.by_condition(cond)
         status = "ok" if not hits else f"{len(hits)} violations"
-        print(f"  {name}: {status} (threshold {thr:.3e})")
+        print(f"  ({cond}): {status}")
+    print(f"  indeterminate rows (|value| < 1e-13): {len(rep.indeterminate)}")
+    print("  thresholds:", ", ".join(
+        f"{name}={value:g}" for name, value in sorted(rep.thresholds.items())))
     print(f"  overall: {'pass' if rep.passed else 'fail'}")
 
     inp = WronskianInput(V=TrigPoly.cosine(1), alpha=(0.3,), theta=(0.11,),

@@ -12,14 +12,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
 
-from .lattice import frozen_mode_sites, sup_norm
-from .potential import ModelParams, TrigPoly, base_frequencies, mu
+from .lattice import frozen_mode_sites
+from .potential import ModelParams, TrigPoly, base_frequencies
 
 IntVec = tuple[int, ...]
 
@@ -109,18 +109,12 @@ class WronskianInput:
 def _wronskian_columns(inp: WronskianInput):
     """Per column (s, l): the linear form x = (l (.) n_s) . beta + q . l
     and the cosine value cos(2 pi l . (theta + n_s (.) alpha))."""
-    xs, coss = [], []
-    al = np.asarray(inp.alpha)
-    th = np.asarray(inp.theta)
-    be = np.asarray(inp.beta)
-    qv = np.asarray(inp.q)
-    for n in inp.sites:
-        nv = np.asarray(n, dtype=float)
-        for l in inp.V.gamma:
-            lv = np.asarray(l, dtype=float)
-            xs.append(float(np.dot(lv * nv, be) + np.dot(qv, lv)))
-            coss.append(float(np.cos(2.0 * np.pi * np.dot(lv, th + nv * al))))
-    return np.asarray(xs), np.asarray(coss)
+    ns = np.asarray(inp.sites, dtype=float)
+    ls = np.asarray(inp.V.gamma, dtype=float)
+    xs = ((ls[None, :, :] * ns[:, None, :]) @ np.asarray(inp.beta)
+          + ls @ np.asarray(inp.q))
+    phases = (np.asarray(inp.theta) + ns * np.asarray(inp.alpha)) @ ls.T
+    return xs.ravel(), np.cos(2.0 * np.pi * phases).ravel()
 
 
 def wronskian_det(inp: WronskianInput) -> tuple[float, float]:
@@ -160,9 +154,7 @@ def _safe_abs_det(W: np.ndarray) -> float:
     if np.isfinite(cond) and cond <= 1e12:
         return float(abs(np.linalg.det(W)))
     with mpmath.workdps(50):
-        M = mpmath.matrix([[mpmath.mpf(float(W[i, j])) for j in range(R)]
-                           for i in range(R)])
-        return float(abs(mpmath.det(M)))
+        return float(abs(mpmath.det(mpmath.matrix(W.tolist()))))
 
 
 # -- determinant lower bound for integer families ----------------------
@@ -204,15 +196,21 @@ class DCReport:
         return [v for v in self.violations if v[0] == cond]
 
 
-def _k_vectors(b: int, radius: int, include_zero: bool) -> list[IntVec]:
-    out = [k for k in itertools.product(range(-radius, radius + 1), repeat=b)]
-    if not include_zero:
-        out = [k for k in out if any(c != 0 for c in k)]
-    return out
+def _cube(r: int, radius: int) -> np.ndarray:
+    """Integer vectors of length r with sup norm <= radius, one per row,
+    in itertools.product order."""
+    return np.array(list(itertools.product(range(-radius, radius + 1),
+                                           repeat=r)), dtype=int)
 
 
-def _n_vectors(d: int, radius: int) -> list[IntVec]:
-    return list(itertools.product(range(-radius, radius + 1), repeat=d))
+@functools.lru_cache(maxsize=64)
+def _resonance_table(params: ModelParams, Lk: int, Ln: int):
+    """Cached (ks, k . omega0, ns, mu_n) for |k| <= Lk and |n| <= Ln."""
+    omega0 = base_frequencies(params)
+    ks = _cube(params.b, Lk)
+    ns = _cube(params.d, Ln)
+    kw = np.array([float(np.dot(k, omega0)) for k in ks])
+    return ks, kw, ns, params.mu_values(ns)
 
 
 def check_dc_conditions(params: ModelParams, dioph: DiophParams) -> DCReport:
@@ -223,58 +221,57 @@ def check_dc_conditions(params: ModelParams, dioph: DiophParams) -> DCReport:
     (iii) |xi k . omega0 + mu_n| >= scale^{-C1} off the excited set;
     (iv)  |k . omega0 + mu_n - mu_n'| bounded below unless the combination
           vanishes identically (k = 0 and n = n').
+
+    Rows are listed in nested-loop order over the witnesses.
     """
     L = dioph.L
     thr = dioph.threshold(params)
-    omega0 = base_frequencies(params)
-    b, d = params.b, params.d
     eps_delta = params.epsilon + params.delta
     L_min = max(1, math.ceil(math.log(1.0 / eps_delta))) if eps_delta > 0 else 1
+    ks, kw, ns, mus = _resonance_table(params, 2 * L, L)
+    k_list = [tuple(k) for k in ks.tolist()]
+    n_list = [tuple(n) for n in ns.tolist()]
     violations = []
     indeterminate = []
 
-    ns = _n_vectors(d, L)
-    mus = {n: params.mu_n(n) for n in ns}
-
     # (i) pairwise separation of potential values.
-    for i, n in enumerate(ns):
-        for np_ in ns[i + 1:]:
-            gap = abs(mus[n] - mus[np_])
-            if gap < thr:
-                violations.append(("i", (n, np_), gap, thr))
+    first, second = np.triu_indices(len(n_list), 1)
+    gaps = np.abs(mus[first] - mus[second])
+    for a, c, gap in zip(first.tolist(), second.tolist(), gaps.tolist()):
+        if gap < thr:
+            violations.append(("i", (n_list[a], n_list[c]), gap, thr))
 
     # (ii) small divisors of k . omega0.
-    for k in _k_vectors(b, 2 * L, include_zero=False):
-        val = abs(float(np.dot(k, omega0)))
-        if val < thr:
+    for k, val in zip(k_list, np.abs(kw).tolist()):
+        if val < thr and any(k):
             violations.append(("ii", (k,), val, thr))
 
     # (iii) joint small divisors off the excited set, with a per-site scale.
     excited = {(k, n) for k, n, _ in frozen_mode_sites(params.sites)}
-    for k in _k_vectors(b, L, include_zero=True):
-        for n in ns:
-            if (k, n) in excited:
-                continue
-            scale = max(L_min, max(sup_norm(k), sup_norm(n), 1))
-            floor = scale ** (-dioph.C1_exp)
-            kw = float(np.dot(k, omega0))
-            val = min(abs(kw + mus[n]), abs(-kw + mus[n]))
-            if val < floor:
-                violations.append(("iii", (k, n), val, floor))
+    near = np.abs(ks).max(axis=1, initial=0) <= L
+    scale = np.maximum.outer(np.abs(ks[near]).max(axis=1, initial=0),
+                             np.abs(ns).max(axis=1, initial=0))
+    scales, where = np.unique(np.maximum(scale, L_min), return_inverse=True)
+    floors = np.array([s ** (-dioph.C1_exp) for s in scales.tolist()])
+    floor = floors[where.reshape(scale.shape)]
+    kwn = kw[near][:, None]
+    vals = np.minimum(np.abs(kwn + mus), np.abs(-kwn + mus))
+    k_near = list(itertools.compress(k_list, near.tolist()))
+    for a, c in np.argwhere(vals < floor).tolist():
+        if (k_near[a], n_list[c]) not in excited:
+            violations.append(("iii", (k_near[a], n_list[c]),
+                               float(vals[a, c]), float(floor[a, c])))
 
     # (iv) second differences, skipping identically-zero combinations.
-    for k in _k_vectors(b, 2 * L, include_zero=True):
-        kw = float(np.dot(k, omega0))
-        k_zero = all(c == 0 for c in k)
-        for n in ns:
-            for np_ in ns:
-                if k_zero and n == np_:
-                    continue  # identically zero, excluded by definition
-                val = abs(kw + mus[n] - mus[np_])
-                if val < 1e-13:
-                    indeterminate.append(("iv", (k, n, np_), val, thr))
-                elif val < thr:
-                    violations.append(("iv", (k, n, np_), val, thr))
+    cut = max(thr, 1e-13)
+    for k, w in zip(k_list, kw.tolist()):
+        vals = np.abs((w + mus)[:, None] - mus[None, :])
+        if not any(k):
+            np.fill_diagonal(vals, np.inf)  # identically zero by definition
+        for a, c in np.argwhere(vals < cut).tolist():
+            val = float(vals[a, c])
+            row = ("iv", (k, n_list[a], n_list[c]), val, thr)
+            (indeterminate if val < 1e-13 else violations).append(row)
 
     return DCReport(
         passed=not violations,
@@ -288,17 +285,6 @@ def check_dc_conditions(params: ModelParams, dioph: DiophParams) -> DCReport:
 # -- resonance clustering ----------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _resonance_table(params: ModelParams, L: int):
-    """Cached (k list, k . omega0 array, n list, mu array) on the cube."""
-    omega0 = base_frequencies(params)
-    ks = _k_vectors(params.b, L, include_zero=True)
-    ns = _n_vectors(params.d, L)
-    kw = np.array([float(np.dot(k, omega0)) for k in ks])
-    mus = np.array([params.mu_n(n) for n in ns])
-    return ks, kw, ns, mus
-
-
 def clustering_count(params: ModelParams, sigma: float, L: int,
                      threshold: float) -> tuple[int, list[tuple]]:
     """Largest per-sign count of near-resonant lattice points.
@@ -307,15 +293,16 @@ def clustering_count(params: ModelParams, sigma: float, L: int,
     |xi (sigma + k . omega0) + mu_n| below threshold, and returns the
     maximum of the two counts together with all witnesses.
     """
-    ks, kw, ns, mus = _resonance_table(params, L)
+    ks, kw, ns, mus = _resonance_table(params, L, L)
     best = 0
     witnesses = []
     for xi in (+1, -1):
         vals = np.abs(xi * (sigma + kw)[:, None] + mus[None, :])
         hits = np.argwhere(vals < threshold)
         best = max(best, hits.shape[0])
-        for ki, ni in hits:
-            witnesses.append((ks[ki], ns[ni], xi, float(vals[ki, ni])))
+        for ki, ni in hits.tolist():
+            witnesses.append((tuple(ks[ki].tolist()), tuple(ns[ni].tolist()),
+                              xi, float(vals[ki, ni])))
     return best, witnesses
 
 
@@ -338,57 +325,35 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _predicate_potential_sublevel(V: TrigPoly, eta: float):
-    def fails(alpha: np.ndarray, theta: np.ndarray) -> bool:
-        return abs(V(theta)) <= eta
-    return fails
-
-
-def _predicate_dc_ii(template: ModelParams, L: int, threshold: float):
-    ks = _k_vectors(template.b, 2 * L, include_zero=False)
-
-    def fails(alpha: np.ndarray, theta: np.ndarray) -> bool:
-        p = ModelParams(
-            V=template.V, alpha=tuple(alpha), theta=tuple(theta),
-            epsilon=template.epsilon, delta=template.delta, p=template.p,
-            sites=template.sites, a=template.a)
-        omega0 = base_frequencies(p)
-        for k in ks:
-            if abs(float(np.dot(k, omega0))) < threshold:
-                return True
-        return False
-    return fails
-
-
-def make_predicate(condition: str, template: ModelParams,
-                   **kwargs) -> Callable[[np.ndarray, np.ndarray], bool]:
-    """Failure predicates for measure estimation, keyed by name."""
-    if condition == "always_true":
-        return lambda alpha, theta: False
-    if condition == "potential_sublevel":
-        return _predicate_potential_sublevel(template.V, kwargs["eta"])
-    if condition == "dc_ii":
-        return _predicate_dc_ii(template, kwargs["L"], kwargs["threshold"])
-    raise ValueError(f"unknown predicate id {condition!r}")
-
-
 def estimate_excluded_measure(condition: str, template: ModelParams,
                               n_samples: int, seed: int,
                               **kwargs) -> tuple[float, tuple[float, float]]:
     """Fraction of uniformly sampled (alpha, theta) failing the named
     condition, with a 95% Wilson interval.
 
+    Conditions: "always_true" (never fails), "potential_sublevel"
+    (|V(theta)| <= eta) and "dc_ii" (|k . omega0| < threshold for some
+    0 < |k| <= 2L, with omega0 evaluated at the sampled phases).
     Sampling uses a counter-based generator keyed by the seed, so results
     are reproducible and independent of evaluation order.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
+    if condition not in ("always_true", "potential_sublevel", "dc_ii"):
+        raise ValueError(f"unknown predicate id {condition!r}")
     d = template.d
-    fails = make_predicate(condition, template, **kwargs)
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.random((n_samples, 2 * d))
-    n_fail = 0
-    for row in draws:
-        if fails(row[:d], row[d:]):
-            n_fail += 1
+    alpha, theta = draws[:, :d], draws[:, d:]
+    if condition == "always_true":
+        fails = np.zeros(n_samples, dtype=bool)
+    elif condition == "potential_sublevel":
+        fails = np.abs(template.V.values(theta)) <= kwargs["eta"]
+    else:
+        omega0 = np.reshape([template.V.values(theta + np.asarray(n) * alpha)
+                             for n in template.sites], (template.b, n_samples))
+        ks = _cube(template.b, 2 * kwargs["L"])
+        ks = ks[ks.any(axis=1)]
+        fails = (np.abs(omega0.T @ ks.T) < kwargs["threshold"]).any(axis=1)
+    n_fail = int(fails.sum())
     return n_fail / n_samples, wilson_interval(n_fail, n_samples)

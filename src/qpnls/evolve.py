@@ -9,7 +9,6 @@ constructed series actually solves the equation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 

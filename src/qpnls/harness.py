@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 

@@ -25,6 +25,11 @@ from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
 
+# A step counts as growth only above this relative rise.  At a truncation
+# floor the residual wobbles by round-off (at most 2.5e-13 relative in the
+# runs measured), while the smallest real growth in the tests is 3.7%.
+_GROWTH_RTOL = 1e-9
+
 
 # -- state -------------------------------------------------------------
 
@@ -380,7 +385,8 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
     each state before the next step.
 
     The state is re-symmetrized after every correction; divergence
-    (residual growth on two consecutive steps) aborts with the trace.
+    (residual growth beyond round-off on two consecutive steps) aborts
+    with the trace.
     """
     state = initial_state(params)
     omega = solve_Q(state, params)
@@ -404,7 +410,7 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
         if not (math.isfinite(res) and math.isfinite(corr)):
             raise DivergedError("non-finite residual or correction",
                                 NewtonTrace(tuple(steps)))
-        growth = growth + 1 if res > prev_res else 0
+        growth = growth + 1 if res > prev_res * (1 + _GROWTH_RTOL) else 0
         if growth >= 2:
             raise DivergedError(
                 f"residual grew twice in a row (last {res:.3e})",

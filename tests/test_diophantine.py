@@ -1,15 +1,71 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qpnls.diophantine import (DCReport, DiophParams, WronskianInput,
+                               _wronskian_columns,
                                bgg_check, check_dc_conditions,
                                clustering_count, estimate_excluded_measure,
                                km_bound, sublevel_measure_1d, wilson_interval,
                                wronskian_det)
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
+
+
+def dc_rows_oracle(params, dioph):
+    """Conditions (i)-(iv) as scalar nested loops: (violations,
+    indeterminate) rows in the order check_dc_conditions lists them."""
+    L, thr, b = dioph.L, dioph.threshold(params), params.b
+    omega0 = base_frequencies(params)
+    L_min = max(1, math.ceil(math.log(1.0 / (params.epsilon
+                                              + params.delta))))
+    ns = list(itertools.product(range(-L, L + 1), repeat=params.d))
+    mus = {n: params.mu_n(n) for n in ns}
+    excited = set()
+    for l, n in enumerate(params.sites):
+        e = tuple(int(j == l) for j in range(b))
+        excited |= {(e, n), (tuple(-c for c in e), n)}
+    viol, indet = [], []
+    for i, n in enumerate(ns):
+        for np_ in ns[i + 1:]:
+            if abs(mus[n] - mus[np_]) < thr:
+                viol.append(("i", (n, np_), abs(mus[n] - mus[np_]), thr))
+    for k in itertools.product(range(-2 * L, 2 * L + 1), repeat=b):
+        val = abs(float(np.dot(k, omega0)))
+        if any(k) and val < thr:
+            viol.append(("ii", (k,), val, thr))
+    for k in itertools.product(range(-L, L + 1), repeat=b):
+        for n in ns:
+            kw = float(np.dot(k, omega0))
+            val = min(abs(kw + mus[n]), abs(-kw + mus[n]))
+            floor = max(L_min, *map(abs, k), *map(abs, n)) ** -dioph.C1_exp
+            if (k, n) not in excited and val < floor:
+                viol.append(("iii", (k, n), val, floor))
+    for k in itertools.product(range(-2 * L, 2 * L + 1), repeat=b):
+        for n in ns:
+            for np_ in ns:
+                val = abs(float(np.dot(k, omega0)) + mus[n] - mus[np_])
+                if any(k) or n != np_:
+                    if val < 1e-13:
+                        indet.append(("iv", (k, n, np_), val, thr))
+                    elif val < thr:
+                        viol.append(("iv", (k, n, np_), val, thr))
+    return tuple(viol), tuple(indet)
+
+
+def oracle_models():
+    ref = reference_params()
+    yield ref
+    yield dataclasses.replace(ref, alpha=(0.0,))
+    yield dataclasses.replace(ref, alpha=(1e-14,))  # |iv| in (thr, 1e-13)
+    yield dataclasses.replace(ref, sites=((0,), (2,)), a=(1.5, 0.7))
+    yield ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1), (1, -1)),
+                                 v=(1.0, 0.5)),
+                      alpha=(0.31, 0.57), theta=(0.17, 0.4), epsilon=1e-3,
+                      delta=1e-3, p=1, sites=((0, 0),), a=(1.5,))
 
 
 def random_wronskian_input(rng):
@@ -100,6 +156,22 @@ class TestWronskian:
             direct, factored = wronskian_det(inp)
             assert direct == pytest.approx(factored, rel=1e-8, abs=1e-280)
 
+    def test_columns_match_site_major_loop(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            inp = random_wronskian_input(rng)
+            xs, coss = [], []
+            for n in inp.sites:
+                for l in inp.V.gamma:
+                    xs.append(sum(l[j] * n[j] * inp.beta[j] + inp.q[j] * l[j]
+                                  for j in range(inp.V.d)))
+                    coss.append(math.cos(2 * math.pi * sum(
+                        l[j] * (inp.theta[j] + n[j] * inp.alpha[j])
+                        for j in range(inp.V.d))))
+            got_xs, got_coss = _wronskian_columns(inp)
+            np.testing.assert_allclose(got_xs, xs, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(got_coss, coss, rtol=0, atol=1e-13)
+
     def test_common_cosine_zero(self):
         V = TrigPoly.cosine(1)
         # theta chosen so theta + n * alpha = 1/4 at n = 0
@@ -169,6 +241,28 @@ class TestDcConditions:
                       if k != 0 and abs(k * om) < thr)
         got = sorted(v[1][0] for v in report.by_condition("ii"))
         assert got == want
+
+    @pytest.mark.parametrize("params", list(oracle_models()),
+                             ids=["b1d1", "b1d1-alpha0", "b1d1-alpha1e-14",
+                                  "b2d1", "b1d2"])
+    @pytest.mark.parametrize("threshold_exp, C1_exp",
+                             [(None, 8.0), (0.2, 0.5), (3.0, 8.0),
+                              (6.0, 8.0)])
+    def test_rows_match_scalar_oracle(self, params, threshold_exp, C1_exp):
+        dioph = DiophParams(L=2, C1_exp=C1_exp, threshold_exp=threshold_exp)
+        report = check_dc_conditions(params, dioph)
+        want = dc_rows_oracle(params, dioph)
+        assert repr((report.violations, report.indeterminate)) == repr(want)
+
+    def test_oracle_cases_cover_every_row_kind(self):
+        kinds = set()
+        for params in oracle_models():
+            for te, c1 in ((0.2, 0.5), (6.0, 8.0)):
+                viol, indet = dc_rows_oracle(
+                    params, DiophParams(L=2, C1_exp=c1, threshold_exp=te))
+                kinds |= {row[0] for row in viol}
+                kinds |= {"indeterminate"} if indet else set()
+        assert kinds == {"i", "ii", "iii", "iv", "indeterminate"}
 
     def test_identically_zero_rows_excluded(self):
         p = reference_params()
@@ -244,6 +338,28 @@ class TestExcludedMeasure:
             if any(abs(k * om) < thr for k in range(-8, 9) if k != 0):
                 fails += 1
         assert lo - 0.02 <= fails / grid.size <= hi + 0.02
+
+    def test_dc_ii_b2_d2_matches_per_sample_loop(self):
+        p = ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1), (1, -1)),
+                                   v=(1.0, 0.5)),
+                        alpha=(0.3, 0.7), theta=(0.1, 0.2), epsilon=0.01,
+                        delta=0.01, p=1, sites=((0, 0), (1, -1)),
+                        a=(1.0, 2.0))
+        n_samples, L, thr = 2000, 2, 0.02
+        got = estimate_excluded_measure("dc_ii", p, n_samples, 21, L=L,
+                                        threshold=thr)
+        draws = np.random.Generator(np.random.Philox(key=21)).random(
+            (n_samples, 4))
+        ks = [k for k in itertools.product(range(-2 * L, 2 * L + 1),
+                                           repeat=2) if any(k)]
+        fails = 0
+        for row in draws:
+            q = dataclasses.replace(p, alpha=tuple(row[:2]),
+                                    theta=tuple(row[2:]))
+            om = base_frequencies(q)
+            fails += any(abs(float(np.dot(k, om))) < thr for k in ks)
+        assert 0 < fails < n_samples
+        assert got == (fails / n_samples, wilson_interval(fails, n_samples))
 
     def test_unknown_predicate(self):
         with pytest.raises(ValueError):

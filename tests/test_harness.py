@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from qpnls import solver
-from qpnls.harness import (DEFAULT_CONFIG, EXIT_NUMERIC, EXIT_OK,
-                           EXIT_VALIDATION, ConfigError, apply_override,
+from qpnls.harness import (DEFAULT_CONFIG, EXIT_ACCEPTANCE, EXIT_NUMERIC,
+                           EXIT_OK, EXIT_VALIDATION, ConfigError, apply_override,
                            canonical_json, config_hash, load_config, main,
                            run, validate_config)
 
@@ -177,6 +177,16 @@ class TestCli:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["stages"]["solve"]["status"] == "numeric-error"
         assert "grew twice" in manifest["stages"]["solve"]["error"]
+
+    def test_acceptance_exit_code(self, tmp_path):
+        # A threshold of (eps + delta)^0.2 is violated by some separations.
+        code = main(["dioph", "--set", "dioph.threshold_exp=0.2",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_ACCEPTANCE
+        lines = (tmp_path / "dioph_violations.csv").read_text().splitlines()
+        conditions = [line.split(",")[0] for line in lines[1:]]
+        assert len(conditions) == 77
+        assert conditions.count("i") == 5 and conditions.count("iv") == 72
 
     def test_solve_command(self, tmp_path, capsys):
         code = main(["solve", "--set", "solver.N_cap=8",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -348,6 +349,15 @@ class TestRunSolver:
             run_solver(reference_params(0.2, 0.2), N_cap=4, r_max=6)
         assert err.value.trace.residuals() == pytest.approx(
             [9.43e-2, 3.66e-3, 4.42e-3, 4.59e-3], rel=2e-3)
+
+    @pytest.mark.parametrize("eps, delta, a", [(0.05, 0.9, 1.5),
+                                                (0.4, 0.9, 5.0)])
+    def test_round_off_at_floor_is_not_growth(self, eps, delta, a):
+        # The residual sits at its truncation floor and rises by a few ulps.
+        p = dataclasses.replace(reference_params(eps, delta), a=(a,))
+        sol = run_solver(p, N_cap=4, r_max=6)
+        assert sol.stop_reason == "stalled"
+        assert sol.newton_steps == 6
 
 
 class TestStopReason:

@@ -138,7 +138,7 @@ _STAGE_FIELDS = (
     ("ldt", "sigma_min", False, None, False, False),
     ("ldt", "sigma_max", False, None, False, False),
     ("ldt", "sigma_points", True, 1, False, False),
-    ("lde", "gamma_target", False, 0, True, True),
+    ("lde", "gamma_target", False, 0, True, False),
     ("lde", "norm_exp", False, 0, True, False),
     ("lde", "dist_exp", False, 0, True, False),
     ("solver", "M", True, 1, False, False),
@@ -180,7 +180,7 @@ def _dioph_params(config: dict) -> diophantine.DiophParams:
 
 def _lde_params(config: dict) -> linop.LDEParams:
     l = config["lde"]
-    return linop.LDEParams(gamma_target=l.get("gamma_target"),
+    return linop.LDEParams(gamma_target=l["gamma_target"],
                            norm_exp=l["norm_exp"], dist_exp=l["dist_exp"])
 
 

@@ -68,7 +68,7 @@ class ShortRangeOperator:
 class LDEParams:
     """Classification thresholds for restricted Green's functions."""
 
-    gamma_target: Optional[float] = None  # decay rate; None means 0.5
+    gamma_target: float = 0.5  # target decay rate
     norm_exp: float = 0.75  # norm budget exp(M^norm_exp)
     dist_exp: float = 8.0 / 9.0  # decay measured beyond M^dist_exp
 
@@ -245,10 +245,9 @@ _RESIDUAL_RTOL = 1e-10
 
 def _scale(region: Region, lde: LDEParams) -> tuple[int, float, float]:
     """A region's scale M (its diameter), norm budget exp(M^norm_exp) and
-    target decay rate (0.5 unless lde.gamma_target is set)."""
+    target decay rate."""
     M = max(region.diameter(), 1)
-    target = lde.gamma_target if lde.gamma_target is not None else 0.5
-    return M, math.exp(M ** lde.norm_exp), target
+    return M, math.exp(M ** lde.norm_exp), lde.gamma_target
 
 
 def _far_pairs(positions: np.ndarray, cutoff: float

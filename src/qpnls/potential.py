@@ -8,6 +8,7 @@ which returns a report rather than raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,6 +171,10 @@ class ModelParams:
         d = self.V.d
         if len(self.alpha) != d or len(self.theta) != d:
             raise ValueError("alpha/theta must have length d")
+        if not self.sites:
+            raise ValueError("at least one excited site is required")
+        if not all(map(math.isfinite, (*self.alpha, *self.theta, *self.a))):
+            raise ValueError("alpha, theta and a must be finite")
         if any(len(n) != d for n in self.sites):
             raise ValueError("each excited site must have length d")
         if len(set(self.sites)) != len(self.sites):

@@ -212,29 +212,19 @@ def residual_sup(residual: FourierState) -> float:
 # -- frequency (Q) equations -------------------------------------------
 
 
-def _hopping_halo(sites: Iterable[Site]) -> set:
-    """The sites one unit step in n away from the given ones."""
-    return {(k, n[:j] + (n[j] + step,) + n[j + 1:], xi)
-            for k, n, xi in sites for j in range(len(n)) for step in (-1, 1)}
+def _frequency_update(F: FourierState, omega: Sequence[float],
+                      params: ModelParams) -> np.ndarray:
+    """omega + Re F_anchor / a, with F the residual at omega.  The row
+    (e_l, n_l, +) is affine in omega_l with slope -a_l and no other term
+    depends on omega, so this solves the excited-site equations exactly."""
+    rows = [F.get(site) for site in anchor_sites(params)]
+    return omega + np.real(rows) / np.asarray(params.a, dtype=float)
 
 
 def solve_Q(state: FourierState, params: ModelParams) -> np.ndarray:
-    """Solve the equations at the excited sites for the frequencies.
-
-    The residual at the anchor (e_l, n_l, +) is (omega0_l - omega_l) a_l
-    + (eps hopping + delta nonlinearity at the anchor).  Neither coupling
-    term depends on omega and every a_l is nonzero, so the solution is
-    omega0 + Re F_anchor(omega0) / a exactly.  Only the anchor rows and
-    their hopping neighbours are evaluated.
-    """
-    om = base_frequencies(params)
-    anchors = list(anchor_sites(params))
-    idx = index_sites(set(anchors) | _hopping_halo(anchors))
-    F = (lattice_operator(params, om, idx) @ _gather(state, idx)
-         + params.delta
-         * _gather(convolution_nonlinearity(state, params.p), idx))
-    rows = [idx[site] for site in anchors]
-    return om + F[rows].real / np.asarray(params.a, dtype=float)
+    """The frequencies solved from the residual at the base frequencies."""
+    om0 = base_frequencies(params)
+    return _frequency_update(evaluate_F(state, om0, params), om0, params)
 
 
 # -- Newton step -------------------------------------------------------
@@ -400,7 +390,8 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
         prev_res = res
         state, corr = newton_step(state, omega, params, N)
         state = symmetrize(state)
-        res = residual_sup(evaluate_F(state, omega, params))
+        F = evaluate_F(state, omega, params)
+        res = residual_sup(F)
         anchor_err = max(abs(state.get(s) - v)
                          for s, v in anchor_sites(params).items())
         steps.append({"r": r, "N": N, "residual": res, "correction": corr,
@@ -415,7 +406,7 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
             raise DivergedError(
                 f"residual grew twice in a row (last {res:.3e})",
                 NewtonTrace(tuple(steps)))
-        omega = solve_Q(state, params)
+        omega = _frequency_update(F, omega, params)
     certs = certificates_for(state, omega, params)
     # Stalled: unconverged after two steps at N_cap whose residual fell by
     # less than half.

@@ -42,7 +42,7 @@ class TestConfig:
     @pytest.mark.parametrize("override", [
         "regions.N=0", "regions.r=1.5", "ldt.sigma_points=0",
         'ldt.M="two"', "ldt.sigma_min=3.0", "lde.norm_exp=0",
-        "lde.gamma_target=-1", "solver.N_cap=0", "solver.tol=0",
+        "lde.gamma_target=-1", "lde.gamma_target=null", "solver.N_cap=0", "solver.tol=0",
         "evolve.dt=0", "evolve.T=-1", "evolve=5", "dioph=5",
         'dioph.threshold_exp="x"', "dioph.L=2.5", "dioph.C1_exp=0",
         "seed.x=1", 'seed="abc"', "seed=1.5", "seed=true"])
@@ -115,19 +115,17 @@ class TestStages:
         assert manifest["stages"]["evolve"]["status"] == "pass"
         assert len(calls) == 1
 
-    def test_gamma_target_null_means_half(self, tmp_path):
+    def test_gamma_target_changes_sweep(self, tmp_path):
         # at epsilon = 0.3 the decay test binds: 0.6 changes the sweep
         outs = []
-        for value in ("null", "0.5", "0.6"):
+        for value in ("0.5", "0.6"):
             out = tmp_path / value
             assert main(["ldt", "--set", "params.epsilon=0.3", "--set",
                          f"lde.gamma_target={value}",
                          "--out", str(out)]) == EXIT_OK
             outs.append(out)
-        null, half, other = outs
-        for name in ("ldt_sweep.csv", "ldt_summary.json"):
-            assert (null / name).read_bytes() == (half / name).read_bytes()
-        assert ((null / "ldt_sweep.csv").read_bytes()
+        half, other = outs
+        assert ((half / "ldt_sweep.csv").read_bytes()
                 != (other / "ldt_sweep.csv").read_bytes())
 
     def test_unknown_command(self, tmp_path):
@@ -142,6 +140,22 @@ class TestCli:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("all", ["params.sites=[]", "params.a=[]"]),
+        ("dioph", ["params.sites=[]", "params.a=[]",
+                   "dioph.threshold_exp=null"]),
+        ("solve", ["params.alpha=[NaN]"]),
+        ("solve", ["params.theta=[Infinity]"]),
+        ("solve", ["params.a=[NaN]"]),
+    ], ids=["no-sites", "no-sites-dioph", "alpha-nan", "theta-inf", "a-nan"])
+    def test_model_params_exit_code(self, tmp_path, capsys, command,
+                                    overrides):
+        args = [command, "--out", str(tmp_path)]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
     def test_section_error_exit_code(self, tmp_path, capsys):
         code = main(["regions", "--set", "regions.N=0",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,17 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(V=TrigPoly.cosine(1), alpha=(0.3,), theta=(0.1,),
                         epsilon=0.0, delta=0.0, p=1, sites=((0,),), a=(0.0,))
+
+    def test_no_sites_rejected(self):
+        with pytest.raises(ValueError):
+            ModelParams(V=TrigPoly.cosine(1), alpha=(0.3,), theta=(0.1,),
+                        epsilon=0.0, delta=0.0, p=1, sites=(), a=())
+
+    @pytest.mark.parametrize("field", ["alpha", "theta", "a"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            dataclasses.replace(reference_params(), **{field: (value,)})
 
     def test_coupling_range(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ import pytest
 from qpnls.lattice import Region, index_region, sup_norm
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
-from qpnls.solver import (DivergedError, FourierState, anchor_sites,
+from qpnls import solver
+from qpnls.solver import (DivergedError, FourierState, _frequency_update,
+                          anchor_sites,
                           certificates_for, convolution_nonlinearity,
                           decay_sum, evaluate_F, initial_state,
                           linearization_coupling, newton_step, residual_sup,
@@ -44,6 +46,26 @@ def b2_params():
     return ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
                        theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
                        sites=((0,), (2,)), a=(1.5, 1.2))
+
+
+def reference_loop(params, M=2, r_max=10, tol=1e-11, N_cap=16):
+    """run_solver's loop with solve_Q called afresh on every state:
+    (residual, omega) per step as the trace records them, and the final
+    omega."""
+    state = initial_state(params)
+    omega = solve_Q(state, params)
+    res = residual_sup(evaluate_F(state, omega, params))
+    steps = []
+    for r in range(r_max):
+        if res < tol:
+            break
+        state, _ = newton_step(state, omega, params,
+                               min(M ** (r + 1), N_cap))
+        state = symmetrize(state)
+        res = residual_sup(evaluate_F(state, omega, params))
+        steps.append((res, tuple(float(x) for x in omega)))
+        omega = solve_Q(state, params)
+    return steps, tuple(float(x) for x in omega)
 
 
 class TestLayout:
@@ -212,6 +234,40 @@ class TestSolveQ:
         res = evaluate_F(sol.state, sol.omega, p)
         for site in anchor_sites(p):
             assert abs(res.coeffs.get(site, 0.0)) <= 1e-12
+
+
+class TestFrequencyUpdate:
+    @pytest.mark.parametrize("params, N_cap", [(reference_params(), 16),
+                                               (b2_params(), 5)],
+                             ids=["reference", "b2"])
+    def test_trace_equals_solve_Q_per_state(self, params, N_cap):
+        sol = run_solver(params, N_cap=N_cap)
+        steps, omega = reference_loop(params, N_cap=N_cap)
+        assert [(s["residual"], s["omega"]) for s in sol.trace.steps] \
+            == steps
+        assert sol.omega == omega
+
+    def test_solve_Q_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_Q(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_Q", counted)
+        for params in (reference_params(), b2_params()):
+            calls.clear()
+            assert run_solver(params, N_cap=5).newton_steps >= 3
+            assert len(calls) == 1
+
+    def test_exact_from_any_omega(self):
+        p = b2_params()
+        state = initial_state(p)
+        state, _ = newton_step(state, solve_Q(state, p), p, N=2)
+        state = symmetrize(state)
+        om = base_frequencies(p) + 0.01
+        got = _frequency_update(evaluate_F(state, om, p), om, p)
+        assert np.abs(got - solve_Q(state, p)).max() <= 1e-15
 
 
 class TestNewtonStep:

@@ -9,8 +9,8 @@ from .potential import ModelParams, TrigPoly, base_frequencies, mu, \
 from .diophantine import DiophParams, WronskianInput, bgg_check, \
     check_dc_conditions, clustering_count, estimate_excluded_measure, \
     km_bound, wronskian_det
-from .linop import GreenReport, LDEParams, ShortRangeOperator, assemble_D, \
-    assemble_H, green, schur_green, sigma_sweep
+from .linop import GreenReport, LDEParams, assemble_H, green, schur_green, \
+    sigma_sweep
 from .solver import FourierState, Solution, evaluate_F, initial_state, \
     newton_step, run_solver, solve_Q, symmetrize
 from .evolve import integrate, reconstruct, verify

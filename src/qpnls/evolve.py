@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -125,17 +125,6 @@ def closed_form_decoupled(u0: np.ndarray, params: ModelParams,
     """Exact flow for eps = delta = 0: per-site phase rotation."""
     mu_grid = box_operator(params, box.R).diagonal().real.reshape(box.shape)
     return np.exp(1j * mu_grid * t) * u0
-
-
-def free_lattice_single_site(t: float, eps: float,
-                             n_values: Sequence[int]) -> np.ndarray:
-    """Exact free-lattice evolution (V = 0, delta = 0, d = 1) from a unit
-    amplitude at the origin: u(t, n) = i^|n| J_|n|(2 eps t)."""
-    from scipy.special import jv
-    out = np.empty(len(n_values), dtype=complex)
-    for i, n in enumerate(n_values):
-        out[i] = (1j) ** abs(n) * jv(abs(n), 2.0 * eps * t)
-    return out
 
 
 @dataclass(frozen=True)

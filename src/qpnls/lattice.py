@@ -1,7 +1,7 @@
 """Lattice geometry: boxes, cut regions, sections, and site indexing.
 
-Regions are stored symbolically (outer box plus an optional cut), so that
-membership is O(r) arithmetic and large regions stay cheap.  Site
+Regions are stored symbolically (outer box plus an optional corner cut),
+so that membership is O(r) arithmetic and large regions stay cheap.  Site
 enumeration is only performed on demand.
 """
 
@@ -34,16 +34,6 @@ def sup_norm(v: Iterable[int]) -> int:
     return max(vs) if vs else 0
 
 
-def sup_dist(x: Iterable[int], y: Iterable[int]) -> int:
-    ds = [abs(a - b) for a, b in zip(x, y)]
-    return max(ds) if ds else 0
-
-
-def site_norm(site: Site) -> int:
-    k, n, _ = site
-    return max(sup_norm(k), sup_norm(n))
-
-
 def _holds(value: int, rel: str) -> bool:
     if rel == LESS:
         return value < 0
@@ -54,8 +44,8 @@ def _holds(value: int, rel: str) -> bool:
 
 @dataclass(frozen=True)
 class Region:
-    """Box ``[lo, hi]`` in Z^r, optionally minus a translated copy of itself
-    (``cut_vector``) or minus an orthant-style corner (``sign_cuts``).
+    """Box ``[lo, hi]`` in Z^r, optionally minus an orthant-style corner
+    (``sign_cuts``).
 
     ``sign_cuts`` is a per-coordinate tuple with entries '<', '>' or None;
     the removed set is the box points satisfying *all* active (strict)
@@ -64,7 +54,6 @@ class Region:
 
     lo: IntVec
     hi: IntVec
-    cut_vector: Optional[IntVec] = None
     sign_cuts: Optional[tuple[Optional[str], ...]] = None
     cut_origin: Optional[IntVec] = None
 
@@ -73,16 +62,12 @@ class Region:
             raise ValueError("lo/hi dimension mismatch")
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise ValueError("empty box: lo > hi")
-        if self.cut_vector is not None and self.sign_cuts is not None:
-            raise ValueError("cut_vector and sign_cuts are mutually exclusive")
         if self.sign_cuts is not None:
             if len(self.sign_cuts) != len(self.lo):
                 raise ValueError("sign_cuts dimension mismatch")
             if self.cut_origin is None:
                 object.__setattr__(self, "cut_origin", tuple(
                     (l + h) // 2 for l, h in zip(self.lo, self.hi)))
-        if self.cut_vector is not None and len(self.cut_vector) != len(self.lo):
-            raise ValueError("cut_vector dimension mismatch")
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -119,9 +104,6 @@ class Region:
         return list(zip(*self.points().T.tolist()))
 
     def _removed_mask(self, pts: np.ndarray) -> np.ndarray:
-        if self.cut_vector is not None:
-            shifted = pts - self.cut_vector
-            return ((shifted >= self.lo) & (shifted <= self.hi)).all(axis=1)
         # The corner where every active relation holds; none when no
         # relation is active.
         mask = np.full(pts.shape[0], self.n_active_cuts() > 0)
@@ -139,11 +121,6 @@ class Region:
         box = 1
         for l, h in zip(self.lo, self.hi):
             box *= h - l + 1
-        if self.cut_vector is not None:
-            overlap = 1
-            for l, h, z in zip(self.lo, self.hi, self.cut_vector):
-                overlap *= max(0, (h - l + 1) - abs(z))
-            return box - overlap
         if self.sign_cuts is not None:
             removed = 1
             active = False
@@ -164,7 +141,7 @@ class Region:
         """Vectorized membership test for an (m, r) integer array."""
         pts = np.asarray(pts)
         inside = ((pts >= self.lo) & (pts <= self.hi)).all(axis=1)
-        if self.cut_vector is not None or self.n_active_cuts():
+        if self.n_active_cuts():
             inside &= ~self._removed_mask(pts)
         return inside
 
@@ -181,7 +158,7 @@ class Region:
         origin = None
         if self.cut_origin is not None:
             origin = tuple(o + c for o, c in zip(self.cut_origin, z))
-        return Region(lo, hi, self.cut_vector, self.sign_cuts, origin)
+        return Region(lo, hi, self.sign_cuts, origin)
 
     # -- serialization -------------------------------------------------
     def to_record(self) -> dict:
@@ -189,8 +166,6 @@ class Region:
             "center": [(l + h) / 2 for l, h in zip(self.lo, self.hi)],
             "widths": [(h - l) / 2 for l, h in zip(self.lo, self.hi)],
         }
-        if self.cut_vector is not None:
-            rec["cut_vector"] = list(self.cut_vector)
         if self.sign_cuts is not None:
             rec["sign_cuts"] = [s if s is not None else "" for s in self.sign_cuts]
             rec["cut_origin"] = list(self.cut_origin)
@@ -200,13 +175,12 @@ class Region:
     def from_record(rec: dict) -> "Region":
         lo = tuple(int(round(c - w)) for c, w in zip(rec["center"], rec["widths"]))
         hi = tuple(int(round(c + w)) for c, w in zip(rec["center"], rec["widths"]))
-        cut = tuple(rec["cut_vector"]) if "cut_vector" in rec else None
         cuts = None
         origin = None
         if "sign_cuts" in rec:
             cuts = tuple(s if s else None for s in rec["sign_cuts"])
             origin = tuple(rec["cut_origin"])
-        return Region(lo, hi, cut, cuts, origin)
+        return Region(lo, hi, cuts, origin)
 
 
 def enumerate_elementary_regions(r: int, N: int) -> list[Region]:
@@ -251,8 +225,6 @@ def region_section(region: Region, b: int, k: IntVec) -> SectionShape:
     d = r - b
     if d < 1 or len(k) != b:
         raise ValueError("bad split: need len(k) == b and d >= 1")
-    if region.cut_vector is not None:
-        raise ValueError("sections are only defined for elementary regions")
     if not all(l <= c <= h for c, l, h in zip(k, region.lo[:b], region.hi[:b])):
         raise EmptySectionError(f"k={k} outside the projection")
     base = Region(region.lo[b:], region.hi[b:])
@@ -282,11 +254,6 @@ def region_section(region: Region, b: int, k: IntVec) -> SectionShape:
     return SectionShape(
         "elementary",
         Region(base.lo, base.hi, sign_cuts=induced, cut_origin=origin[b:]))
-
-
-def section_site_set(region: Region, b: int, k: IntVec) -> frozenset:
-    """Brute-force section, for verifying :func:`region_section`."""
-    return frozenset(y[b:] for y in region.sites() if y[:b] == tuple(k))
 
 
 # -- the +/- layered lattice ------------------------------------------
@@ -389,41 +356,3 @@ def recenter(arr: np.ndarray, radii: Iterable[int]) -> np.ndarray:
     out[tuple(slice(r - c, r + c + 1) for r, c in zip(radii, keep))] = \
         arr[tuple(slice(o - c, o + c + 1) for o, c in zip(old, keep))]
     return out
-
-
-# -- generalized-region width ------------------------------------------
-
-
-def has_width_at_least(site_set: frozenset, r: int, L: int) -> bool:
-    """Check the inner-region width criterion: every member site admits,
-    for each 0 < L' < L, an elementary region of size L' containing it,
-    contained in the set, and separated from the complement by L'/2.
-
-    Witness search is greedy over translated elementary regions; intended
-    for small instances only (cost grows fast with L and r).
-    """
-    members = list(site_set)
-    for x in members:
-        for Lp in range(1, L):
-            if not _find_width_witness(site_set, r, x, Lp):
-                return False
-    return True
-
-
-def _find_width_witness(site_set, r, x, Lp):
-    shapes = enumerate_elementary_regions(r, Lp)
-    centers = itertools.product(*[range(c - Lp, c + Lp + 1) for c in x])
-    for c in centers:
-        for shape in shapes:
-            cand = shape.translate(c)
-            if not cand.contains(x):
-                continue
-            cand_sites = cand.site_set()
-            if not cand_sites <= site_set:
-                continue
-            rest = site_set - cand_sites
-            if not rest:
-                return True
-            if min(sup_dist(x, y) for y in rest) >= Lp / 2:
-                return True
-    return False

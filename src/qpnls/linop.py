@@ -15,11 +15,8 @@ decouple and each is real symmetric, shifted by -+ sigma.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -28,40 +25,6 @@ from scipy import sparse
 from .lattice import (Indexing, Region, Site, enumerate_elementary_regions,
                       index_region, index_sites, sup_norm)
 from .potential import ModelParams
-
-
-@dataclass(frozen=True)
-class ShortRangeOperator:
-    """Short-range coupling term: Toplitz in k, diagonal in n.
-
-    kernel maps (delta_k, n, xi, xi') to a complex entry; decay_const and
-    decay_rate bound the entries by C2 (1+|dk|)^C2 exp(-g|dk| - g|n|).
-    """
-
-    kernel: dict
-    decay_const: float = 1.0
-    decay_rate: float = 1.0
-
-    def __post_init__(self):
-        if not (0.5 < self.decay_rate < 10.0):
-            raise ValueError("decay rate must lie in (1/2, 10)")
-        if self.decay_const < 0:
-            raise ValueError("decay constant must be >= 0")
-
-    def check_contract(self, atol: float = 1e-12) -> list[str]:
-        """Self-adjointness and the decay bound, on all stored entries."""
-        problems = []
-        for (dk, n, xi, xip), val in self.kernel.items():
-            mirror = self.kernel.get((tuple(-c for c in dk), n, xip, xi), 0)
-            if abs(val - np.conj(mirror)) > atol:
-                problems.append(f"not self-adjoint at {(dk, n, xi, xip)}")
-            log_bound = (math.log(max(self.decay_const, 1e-300))
-                         + self.decay_const * math.log1p(sup_norm(dk))
-                         - self.decay_rate * (sup_norm(dk) + sup_norm(n)))
-            bound = math.exp(log_bound) if log_bound < 700 else math.inf
-            if abs(val) > bound + atol:
-                problems.append(f"decay bound violated at {(dk, n, xi, xip)}")
-        return problems
 
 
 @dataclass(frozen=True)
@@ -82,11 +45,6 @@ class AssembledOperator:
     @property
     def m(self) -> int:
         return self.indexing.m
-
-    def hermiticity_defect(self) -> float:
-        H = self.matrix
-        denom = max(np.linalg.norm(H), 1e-300)
-        return float(np.linalg.norm(H - H.conj().T) / denom)
 
 
 def diagonal_values(params: ModelParams, omega: Sequence[float],
@@ -160,13 +118,14 @@ def _short_range_entries(keys: _SiteKeys, kernel: dict, scale: float
 
 def lattice_operator(params: ModelParams, omega: Sequence[float],
                      idx: Indexing, sigma: float = 0.0,
-                     S: Optional[ShortRangeOperator] = None
-                     ) -> sparse.csr_matrix:
+                     S: Optional[dict] = None) -> sparse.csr_matrix:
     """D + epsilon * (hopping in n, per layer) + delta * S on the indexed
-    sites, as a complex CSR matrix.  Hopping and S reach only sites inside
-    the indexing (zero Dirichlet condition outside)."""
+    sites, as a complex CSR matrix.  S is a short-range kernel, Toplitz in
+    k and diagonal in n: {(dk, n, xi, xi'): value} couples each indexed
+    site (k, n, xi) to (k - dk, n, xi').  Hopping and S reach only sites
+    inside the indexing (zero Dirichlet condition outside)."""
     m, d = idx.m, params.d
-    kernel = S.kernel if S is not None and params.delta != 0.0 else {}
+    kernel = S if S is not None and params.delta != 0.0 else {}
     reach = max((sup_norm(key[0]) for key in kernel), default=0)
     keys = _SiteKeys(idx, [1] * (d + 1) + [reach] * idx.b)
     terms = [(np.arange(m), np.arange(m),
@@ -193,16 +152,8 @@ def box_operator(params: ModelParams, R: int) -> sparse.csr_matrix:
     return lattice_operator(params, (), Indexing(pts, plus, 0))
 
 
-def assemble_D(params: ModelParams, omega: Sequence[float], region: Region,
-               sigma: float, exclude: Iterable[Site] = ()) -> AssembledOperator:
-    """Diagonal part of the operator on the region's layered sites."""
-    idx = index_region(region, params.b, exclude)
-    D = np.diag(diagonal_values(params, omega, idx, sigma)).astype(complex)
-    return AssembledOperator(region, idx, D)
-
-
 def assemble_H(params: ModelParams, omega: Sequence[float], region: Region,
-               sigma: float, S: Optional[ShortRangeOperator] = None,
+               sigma: float, S: Optional[dict] = None,
                exclude: Iterable[Site] = ()) -> AssembledOperator:
     """Full operator: diagonal + epsilon * (hopping in n, per layer)
     + delta * S, restricted to the region minus exclusions."""
@@ -476,14 +427,6 @@ def _sweep_region(op: AssembledOperator, sigmas: np.ndarray,
     return good
 
 
-def min_diagonal_gap(params: ModelParams, omega: Sequence[float],
-                     region: Region, sigma: float,
-                     exclude: Iterable[Site] = ()) -> float:
-    """Smallest |xi (sigma + k . omega) + mu_n| over the region's sites."""
-    idx = index_region(region, params.b, exclude)
-    return float(np.abs(diagonal_values(params, omega, idx, sigma)).min())
-
-
 # -- perturbation stability --------------------------------------------
 
 
@@ -546,69 +489,3 @@ def perturbation_stability(A: np.ndarray, B: np.ndarray,
     excess = float(np.max(diff - bound))
     return StabilityReport(hyp, True, bool(norm2 <= 2.0 / eps1 + 1e-12),
                            bool(excess <= 1e-12), float(norm2), excess)
-
-
-# -- binary matrix dumps -----------------------------------------------
-
-
-def dump_matrix(path, matrix: np.ndarray) -> None:
-    """Dense binary dump: row-major little-endian complex128 plus a JSON
-    sidecar describing shape and layout."""
-    path = Path(path)
-    arr = np.ascontiguousarray(matrix, dtype="<c16")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(arr.tobytes(order="C"))
-    os.replace(tmp, path)
-    sidecar = path.with_suffix(path.suffix + ".json")
-    sidecar.write_text(json.dumps(
-        {"dtype": "complex128", "byte_order": "little", "order": "row-major",
-         "shape": list(arr.shape)}, sort_keys=True))
-
-
-def load_matrix(path) -> np.ndarray:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    data = np.frombuffer(path.read_bytes(), dtype="<c16")
-    return data.reshape(meta["shape"]).copy()
-
-
-# -- localization diagnostic -------------------------------------------
-
-
-@dataclass(frozen=True)
-class EigenDecayReport:
-    rates: np.ndarray
-    fraction_localized: float
-    rate_threshold: float
-
-
-def linear_localization_diagnostic(params: ModelParams,
-                                   radius: int) -> EigenDecayReport:
-    """Eigenvector decay rates of the single-particle operator
-    epsilon * hopping + V(n alpha + theta) on a box, d = 1 only.
-
-    Each eigenvector's decay rate is the least-squares slope of
-    log|psi| against distance from its peak site.  The localization
-    threshold |log epsilon| / 4 is a diagnostic, not a certified value.
-    """
-    if params.d != 1:
-        raise ValueError("diagnostic implemented for d = 1")
-    H = box_operator(params, radius).toarray().real
-    m = H.shape[0]
-    eps = params.epsilon
-    _, vecs = np.linalg.eigh(H)
-    rates = np.empty(m)
-    for j in range(m):
-        psi = np.abs(vecs[:, j])
-        peak = int(np.argmax(psi))
-        d_from_peak = np.abs(np.arange(m) - peak).astype(float)
-        keep = (psi > 1e-280) & (d_from_peak > 0)
-        if eps == 0.0 or keep.sum() < 2:
-            rates[j] = math.inf
-            continue
-        A = np.vstack([d_from_peak[keep], np.ones(keep.sum())]).T
-        sol, *_ = np.linalg.lstsq(A, np.log(psi[keep]), rcond=None)
-        rates[j] = -sol[0]
-    threshold = math.inf if eps == 0.0 else abs(math.log(eps)) / 4.0
-    frac = float(np.mean(rates >= threshold))
-    return EigenDecayReport(rates, frac, threshold)

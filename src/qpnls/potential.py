@@ -17,6 +17,14 @@ import numpy as np
 IntVec = tuple[int, ...]
 
 
+def _integer(x) -> int:
+    """x as an int: an int other than a bool, or an integral float."""
+    integral = isinstance(x, float) and x.is_integer()
+    if isinstance(x, bool) or not (isinstance(x, int) or integral):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class TrigPoly:
     """Real trigonometric polynomial on the d-torus.
@@ -65,9 +73,6 @@ class TrigPoly:
                 2.0 * np.pi * (th @ np.asarray(l, dtype=float)) + ph)
         return total
 
-    def coeff_bound(self) -> float:
-        return float(sum(abs(c) for c in self.v))
-
     # -- serialization -------------------------------------------------
     def to_record(self) -> dict:
         return {
@@ -83,9 +88,9 @@ class TrigPoly:
     def from_record(rec: dict) -> "TrigPoly":
         terms = rec["terms"]
         return TrigPoly(
-            d=int(rec["d"]),
-            K=int(rec["K"]),
-            gamma=tuple(tuple(int(c) for c in t["l"]) for t in terms),
+            d=_integer(rec["d"]),
+            K=_integer(rec["K"]),
+            gamma=tuple(tuple(map(_integer, t["l"])) for t in terms),
             v=tuple(float(t["v"]) for t in terms),
             phases=tuple(float(t.get("phase", 0.0)) for t in terms),
         )
@@ -225,8 +230,8 @@ class ModelParams:
             theta=tuple(float(x) for x in rec["theta"]),
             epsilon=float(rec["epsilon"]),
             delta=float(rec["delta"]),
-            p=int(rec["p"]),
-            sites=tuple(tuple(int(c) for c in n) for n in rec["sites"]),
+            p=_integer(rec["p"]),
+            sites=tuple(tuple(map(_integer, n)) for n in rec["sites"]),
             a=tuple(float(x) for x in rec["a"]),
         )
 

@@ -19,8 +19,7 @@ import numpy as np
 from .lattice import (Indexing, Region, Site, box_sup_norms,
                       frozen_mode_sites, index_region, index_sites, recenter,
                       sup_norm)
-from .linop import (ShortRangeOperator, SingularOperatorError, assemble_H,
-                    lattice_operator)
+from .linop import SingularOperatorError, assemble_H, lattice_operator
 from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
@@ -232,8 +231,9 @@ def solve_Q(state: FourierState, params: ModelParams) -> np.ndarray:
 
 def linearization_coupling(state: FourierState, params: ModelParams,
                            n_values: Iterable[IntVec],
-                           dk_radius: int) -> ShortRangeOperator:
-    """Derivative of the nonlinearity as a k-Toplitz, n-diagonal kernel.
+                           dk_radius: int) -> dict:
+    """Derivative of the nonlinearity as a k-Toplitz, n-diagonal kernel
+    {(dk, n, xi, xi'): value} (see linop.lattice_operator).
 
     Diagonal layer blocks carry (p+1)(u*v)^p; the cross-layer blocks
     carry p (u*v)^(p-1) * u * u and its conjugate mirror.
@@ -262,8 +262,7 @@ def linearization_coupling(state: FourierState, params: ModelParams,
             for dk, val in zip((nz - dk_radius).tolist(),
                                window[tuple(nz.T)].tolist()):
                 kernel[(tuple(dk), n, xi, xip)] = val
-    return ShortRangeOperator(kernel=kernel, decay_const=1e6,
-                              decay_rate=1.0)
+    return kernel
 
 
 def newton_step(state: FourierState, omega: Sequence[float],

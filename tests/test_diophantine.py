@@ -280,7 +280,7 @@ class TestClustering:
     def test_huge_sigma(self):
         p = reference_params()
         om = abs(base_frequencies(p)[0])
-        sigma = 3 * om + p.V.coeff_bound() + 5.0
+        sigma = 3 * om + sum(map(abs, p.V.v)) + 5.0
         count, _ = clustering_count(p, sigma, 3, 0.05)
         assert count == 0
 

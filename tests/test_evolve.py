@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from qpnls.evolve import (BlowUpError, LatticeBox, closed_form_decoupled,
-                          free_lattice_single_site, integrate, reconstruct,
-                          tail_mass, verify)
+                          integrate, reconstruct, tail_mass, verify)
 from qpnls.potential import ModelParams, TrigPoly, reference_params
 from qpnls.solver import run_solver
+
+
+def free_lattice_single_site(t, eps, n_values):
+    """Exact free-lattice evolution (V = 0, delta = 0, d = 1) from a unit
+    amplitude at the origin: u(t, n) = i^|n| J_|n|(2 eps t)."""
+    n = np.abs(np.asarray(n_values))
+    return 1j ** n * jv(n, 2.0 * eps * t)
 
 
 def flat_potential_params(epsilon, delta=0.0):

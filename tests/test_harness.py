@@ -148,7 +148,15 @@ class TestCli:
         ("solve", ["params.alpha=[NaN]"]),
         ("solve", ["params.theta=[Infinity]"]),
         ("solve", ["params.a=[NaN]"]),
-    ], ids=["no-sites", "no-sites-dioph", "alpha-nan", "theta-inf", "a-nan"])
+        ("solve", ["params.p=1.5"]),
+        ("solve", ["params.p=true"]),
+        ("solve", ["params.sites=[[0.9]]"]),
+        ("solve", ["params.V.d=1.5"]),
+        ("solve", ["params.V.K=true"]),
+        ("solve", ["params.V.terms=[{\"l\": [1.5], \"v\": 1.0}]"]),
+    ], ids=["no-sites", "no-sites-dioph", "alpha-nan", "theta-inf", "a-nan",
+            "p-fraction", "p-bool", "site-fraction", "V-d-fraction",
+            "V-K-bool", "term-l-fraction"])
     def test_model_params_exit_code(self, tmp_path, capsys, command,
                                     overrides):
         args = [command, "--out", str(tmp_path)]

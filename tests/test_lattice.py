@@ -6,9 +6,14 @@ import pytest
 
 from qpnls.lattice import (EmptyRegionError, EmptySectionError, Region,
                            enumerate_elementary_regions, frozen_mode_sites,
-                           has_width_at_least, index_region, index_sites,
-                           region_section,
-                           section_site_set, site_norm, sup_dist, sup_norm)
+                           index_region, index_sites, region_section,
+                           sup_norm)
+
+
+def section_site_set(region, b, k):
+    """Brute-force section {n : (k, n) in region}, the oracle for
+    region_section."""
+    return frozenset(y[b:] for y in region.sites() if y[:b] == tuple(k))
 
 
 def brute_force_shape_count(r, N):
@@ -84,12 +89,6 @@ class TestRegionBasics:
                 for reg in enumerate_elementary_regions(r, N):
                     assert reg.size() == len(reg.sites())
 
-    def test_translated_cut_region(self):
-        reg = Region((0, 0), (3, 3), cut_vector=(2, 2))
-        assert reg.size() == len(reg.sites())
-        assert (3, 3) not in reg.site_set()
-        assert (0, 0) in reg.site_set()
-
     def test_contains_array_agrees_with_contains(self):
         reg = Region((-1, -3), (3, 1), sign_cuts=(">", "<"),
                      cut_origin=(1, -1))
@@ -100,15 +99,10 @@ class TestRegionBasics:
 
     def test_points_match_hand_membership(self):
         # membership written out in the test: inside the box and not in
-        # the removed part (a translated copy, or the corner where every
-        # active sign relation holds)
+        # the removed corner, where every active sign relation holds
         def member(reg, y):
             if not all(l <= c <= h for c, l, h in zip(y, reg.lo, reg.hi)):
                 return False
-            if reg.cut_vector is not None:
-                z = [c - v for c, v in zip(y, reg.cut_vector)]
-                return not all(l <= c <= h
-                               for c, l, h in zip(z, reg.lo, reg.hi))
             if reg.sign_cuts is None or not any(reg.sign_cuts):
                 return True
             return not all((c - o < 0) if s == "<" else (c - o > 0)
@@ -116,8 +110,7 @@ class TestRegionBasics:
                                               reg.sign_cuts) if s)
 
         regs = enumerate_elementary_regions(3, 2)
-        regs += [Region((0, -1, 2), (3, 3, 4), cut_vector=(2, 1, 0)),
-                 Region((-2, 0, -1), (2, 3, 1),
+        regs += [Region((-2, 0, -1), (2, 3, 1),
                         sign_cuts=(">", None, "<"), cut_origin=(1, 2, 0)),
                  Region((0, 0, 0), (2, 2, 2), sign_cuts=(None,) * 3)]
         grid = np.asarray(list(itertools.product(range(-3, 6), repeat=3)))
@@ -135,9 +128,7 @@ class TestRegionBasics:
                 max(a - b for a, b in zip(x, y)) for x in want for y in want)
 
     def test_serialization_round_trip(self):
-        regs = enumerate_elementary_regions(3, 2)
-        regs.append(Region((0, 0), (4, 2), cut_vector=(1, 1)))
-        for reg in regs:
+        for reg in enumerate_elementary_regions(3, 2):
             back = Region.from_record(reg.to_record())
             assert back.site_set() == reg.site_set()
 
@@ -281,21 +272,8 @@ class TestIndexing:
                 _check_rows(idx, b)
 
 
-class TestWidth:
-    def test_elementary_regions_have_declared_width(self):
-        # every elementary region of size N has width N as a generalized
-        # region (tested at tiny sizes; the search cost grows quickly)
-        for r, N in [(2, 1), (2, 2)]:
-            for reg in enumerate_elementary_regions(r, N):
-                assert has_width_at_least(reg.site_set(), r, N)
-
-    def test_thin_rectangle_lacks_width(self):
-        thin = Region((0, 0), (6, 0))
-        assert not has_width_at_least(thin.site_set(), 2, 2)
-
-
 class TestNorms:
     def test_site_norm(self):
-        assert site_norm(((2, -3), (1,), 1)) == 3
+        # the norm of a site (k, n, xi) is the sup norm of (k, n)
+        assert sup_norm((2, -3) + (1,)) == 3
         assert sup_norm(()) == 0
-        assert sup_dist((1, 5), (4, 3)) == 3

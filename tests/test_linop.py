@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from qpnls.lattice import Region, frozen_mode_sites, index_region
-from qpnls.linop import (LDEParams, ShortRangeOperator, SingularOperatorError,
-                         assemble_D, assemble_H, diagonal_value, dump_matrix,
-                         green, lattice_operator, lde_region_family,
-                         linear_localization_diagnostic, load_matrix,
-                         min_diagonal_gap, operator_norm,
+from qpnls.linop import (LDEParams, SingularOperatorError, assemble_H,
+                         diagonal_value, diagonal_values, green,
+                         lattice_operator, lde_region_family, operator_norm,
                          perturbation_stability, schur_green, sigma_sweep)
 from qpnls.linop import _lattice_decay_sum, _sweep_region
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
@@ -45,9 +43,9 @@ class TestAssembleD:
             assert minus == pytest.approx(-plus + 2 * p.mu_n(n))
 
     def test_per_entry_oracle(self):
-        p = reference_params()
+        p = reference_params(0.0, 0.0)
         om = base_frequencies(p)
-        op = assemble_D(p, om, Region.cube(2, 1), 0.4)
+        op = assemble_H(p, om, Region.cube(2, 1), 0.4)
         for i, (k, n, xi) in enumerate(op.indexing.sites):
             want = (-0.4 - k[0] * om[0] + p.mu_n(n)) if xi > 0 \
                 else (0.4 + k[0] * om[0] + p.mu_n(n))
@@ -82,7 +80,8 @@ class TestAssembleH:
 
     def test_hermitian(self):
         _, op = make_operator()
-        assert op.hermiticity_defect() <= 1e-12
+        H = op.matrix
+        assert np.linalg.norm(H - H.conj().T) <= 1e-12 * np.linalg.norm(H)
 
     def test_toplitz_shift_in_k(self):
         p = reference_params()
@@ -97,12 +96,11 @@ class TestAssembleH:
 
     def test_short_range_term(self):
         p = reference_params()
-        S = ShortRangeOperator(kernel={
+        S = {
             ((0,), (0,), 1, 1): 0.5,
             ((1,), (0,), 1, 1): 0.25,
             ((-1,), (0,), 1, 1): 0.25,
-        })
-        assert S.check_contract() == []
+        }
         om = base_frequencies(p)
         op_plain = assemble_H(p, om, Region.cube(2, 1), 0.0)
         op = assemble_H(p, om, Region.cube(2, 1), 0.0, S)
@@ -130,7 +128,7 @@ class TestAssembleH:
         region = Region.cube(3, 2)
         S = linearization_coupling(state, p, {y[2:] for y in region.sites()},
                                    dk_radius=3)
-        assert S.kernel
+        assert S
         excl = frozen_mode_sites(p.sites)
         sigma = 0.13
         op = assemble_H(p, om, region, sigma, S, exclude=excl)
@@ -144,16 +142,11 @@ class TestAssembleH:
                     hand[i, j] += p.epsilon
                 if np_ == n:
                     dk = (k[0] - kp[0], k[1] - kp[1])
-                    hand[i, j] += p.delta * S.kernel.get((dk, n, xi, xip), 0)
+                    hand[i, j] += p.delta * S.get((dk, n, xi, xip), 0)
         assert np.abs(op.matrix - hand).max() <= 1e-14
         # The sparse builder stores the nonzeros only, no dense S block.
         H = lattice_operator(p, om, op.indexing, sigma, S)
         assert H.nnz == np.count_nonzero(hand)
-
-    def test_contract_violations_detected(self):
-        bad = ShortRangeOperator(kernel={((1,), (0,), 1, 1): 1.0})
-        problems = bad.check_contract()
-        assert any("self-adjoint" in s for s in problems)
 
 
 class TestGreen:
@@ -187,7 +180,8 @@ class TestGreen:
         om = base_frequencies(p)
         reg = Region.cube(2, 2)
         sigma = 4.0  # far from every resonance
-        gap = min_diagonal_gap(p, om, reg, sigma)
+        diag = diagonal_values(p, om, index_region(reg, p.b), sigma)
+        gap = float(np.abs(diag).min())
         assert gap > 1.0
         op = assemble_H(p, om, reg, sigma)
         _, rep = green(op)
@@ -405,17 +399,7 @@ class TestPerturbationStability:
 
 
 class TestLocalizationDiagnostic:
-    def test_eps_zero_sentinel(self):
-        p = reference_params(0.0, 0.0)
-        rep = linear_localization_diagnostic(p, 10)
-        assert np.all(np.isinf(rep.rates))
-        assert rep.fraction_localized == 1.0
-
-    def test_small_hopping_localized(self):
-        p = reference_params(1e-3, 0.0)
-        rep = linear_localization_diagnostic(p, 32)
-        assert rep.fraction_localized >= 0.9
-        assert float(np.median(rep.rates[np.isfinite(rep.rates)])) >= 1.0
+    """The single-particle operator's spectrum under theta -> theta + alpha."""
 
     def test_theta_shift_covariance(self):
         p = reference_params(1e-3, 0.0)
@@ -436,11 +420,3 @@ class TestLocalizationDiagnostic:
         # bulk spectra agree up to boundary effects of one site
         assert np.median(np.abs(np.sort(e1) - np.sort(e2))) <= 1e-3
 
-
-class TestMatrixDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        A = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-        path = tmp_path / "m.bin"
-        dump_matrix(path, A)
-        assert np.array_equal(load_matrix(path), A)

@@ -67,7 +67,7 @@ class TestMu:
         for _ in range(50):
             val = mu(V, rng.random(1), rng.random(1),
                      (int(rng.integers(-9, 10)),))
-            assert abs(val) <= V.coeff_bound() + 1e-14
+            assert abs(val) <= sum(map(abs, V.v)) + 1e-14
 
 
 class TestModelParams:

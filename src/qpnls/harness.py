@@ -98,6 +98,18 @@ def load_config(path: Optional[str], overrides: list[str]) -> dict:
     return config
 
 
+def _unknown_keys(config: dict, known: dict) -> list[str]:
+    """Dotted paths of the keys of config that known does not have."""
+    out = []
+    for key, value in config.items():
+        if key not in known:
+            out.append(key)
+        elif isinstance(value, dict) and isinstance(known[key], dict):
+            out += [f"{key}.{sub}"
+                    for sub in _unknown_keys(value, known[key])]
+    return out
+
+
 def _deep_update(base: dict, extra: dict) -> None:
     for key, val in extra.items():
         if key in base and isinstance(base[key], dict) and isinstance(val, dict):
@@ -330,10 +342,16 @@ def run(config: dict, command: str, out_dir: str) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = list(STAGES) if command == "all" else [command]
+    # No stage reads a key DEFAULT_CONFIG lacks; say so rather than drop it.
+    ignored = sorted(_unknown_keys(config, DEFAULT_CONFIG))
+    if ignored:
+        print(f"warning: ignoring config keys no stage reads: "
+              f"{', '.join(ignored)}", file=sys.stderr)
     manifest = {
         "config_hash": config_hash(config),
         "version": VERSION,
         "command": command,
+        "ignored_keys": ignored,
         "stages": {},
     }
     for name in names:

@@ -19,7 +19,7 @@ import numpy as np
 from .lattice import (Indexing, Region, Site, box_sup_norms,
                       frozen_mode_sites, index_region, index_sites, recenter,
                       sup_norm)
-from .linop import SingularOperatorError, assemble_H, lattice_operator
+from .linop import SingularOperatorError, lattice_operator
 from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
@@ -28,6 +28,11 @@ IntVec = tuple[int, ...]
 # floor the residual wobbles by round-off (at most 2.5e-13 relative in the
 # runs measured), while the smallest real growth in the tests is 3.7%.
 _GROWTH_RTOL = 1e-9
+
+# A singular Newton operator reports its smallest singular value from a
+# dense SVD only up to this many unknowns (a 3,000 x 3,000 complex matrix
+# is 144 MB); above it the value is nan.
+_SVD_MAX_M = 3000
 
 
 # -- state -------------------------------------------------------------
@@ -269,29 +274,42 @@ def newton_step(state: FourierState, omega: Sequence[float],
                 params: ModelParams, N: int) -> tuple[FourierState, float]:
     """One Newton correction on the cube of size N, excited sites frozen.
 
-    Assembles the linearized operator (diagonal + hopping + nonlinearity
-    coupling) on the layered cube minus the excited set, solves for the
-    correction against the current residual, and subtracts it.
+    Builds the linearized operator (diagonal + hopping + nonlinearity
+    coupling) as a sparse matrix on the layered cube minus the excited
+    set, factors it with a sparse LU (SuperLU), solves for the correction
+    against the current residual, and subtracts it.  No dense m x m array
+    is built, except for the SVD that reports the smallest singular value
+    of an exactly singular operator with at most _SVD_MAX_M unknowns; a
+    larger one raises SingularOperatorError with nan.
     """
+    # Imported here, since it loads scipy.linalg, which only Newton needs.
+    from scipy.sparse.linalg import splu
+
     b, d = params.b, params.d
-    region = Region.cube(b + d, N)
-    excl = frozen_mode_sites(params.sites)
+    idx = index_region(Region.cube(b + d, N), b,
+                       frozen_mode_sites(params.sites))
     S = linearization_coupling(
         state, params, itertools.product(range(-N, N + 1), repeat=d),
         dk_radius=2 * N)
-    op = assemble_H(params, omega, region, sigma=0.0, S=S, exclude=excl)
-    rhs = _gather(evaluate_F(state, omega, params), op.indexing)
+    A = lattice_operator(params, omega, idx, 0.0, S).tocsc()
+    rhs = _gather(evaluate_F(state, omega, params), idx)
     try:
-        delta = np.linalg.solve(op.matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        svals = np.linalg.svd(op.matrix, compute_uv=False)
-        raise SingularOperatorError(
-            f"linearized operator singular on cube N={N}", float(svals[-1])
-        ) from exc
+        # The pattern is structurally symmetric, so a minimum-degree order
+        # on A^T + A fills less than the default column order (COLAMD).
+        delta = splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    except RuntimeError as exc:  # SuperLU: factor is exactly singular
+        message = f"linearized operator singular on cube N={N}"
+        if idx.m <= _SVD_MAX_M:
+            smin = float(np.linalg.svd(A.toarray(), compute_uv=False)[-1])
+        else:
+            smin = math.nan
+            message += (f"; smallest singular value not computed for "
+                        f"m={idx.m} > {_SVD_MAX_M}")
+        raise SingularOperatorError(message, smin) from exc
     Rk, Rn = state.radii
     radii = (max(Rk, N),) * b + (max(Rn, N),) * d
     amp = recenter(state.amp, radii)
-    amp[_box_at(op.indexing, radii)] -= delta
+    amp[_box_at(idx, radii)] -= delta
     corr = float(np.max(np.abs(delta))) if delta.size else 0.0
     return FourierState(amp, b), corr
 

@@ -128,6 +128,18 @@ class TestStages:
         assert ((half / "ldt_sweep.csv").read_bytes()
                 != (other / "ldt_sweep.csv").read_bytes())
 
+    def test_unknown_keys_reported(self, tmp_path, capsys):
+        assert main(["regions", "--set", "regions.NN=3",
+                     "--out", str(tmp_path / "typo")]) == EXIT_OK
+        assert "regions.NN" in capsys.readouterr().err
+        assert main(["regions", "--out", str(tmp_path / "plain")]) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+        ignored = [json.loads((tmp_path / out / "manifest.json").read_text())
+                   ["ignored_keys"] for out in ("typo", "plain")]
+        assert ignored == [["regions.NN"], []]
+        assert ((tmp_path / "typo" / "regions.json").read_bytes()
+                == (tmp_path / "plain" / "regions.json").read_bytes())
+
     def test_unknown_command(self, tmp_path):
         with pytest.raises(ConfigError):
             run(light_config(), "bogus", str(tmp_path))
@@ -234,6 +246,19 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_regions_leaves_linalg_out(self, tmp_path):
+        # Only the Newton solve needs scipy.sparse.linalg, which loads
+        # scipy.linalg; the other stages should not pay for the import.
+        args = ["regions", "--out", str(tmp_path)]
+        code = ("import sys, qpnls.harness; "
+                f"code = qpnls.harness.main({args!r}); "
+                "print(code, 'scipy.sparse.linalg' in sys.modules, "
+                "'scipy.linalg' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False False"
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "qpnls.harness", "-h"],

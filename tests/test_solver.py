@@ -322,6 +322,45 @@ class TestNewtonStep:
             newton_step(initial_state(p), [p.mu_n((1,))], p, N=2)
         assert err.value.smallest_singular_value == 0.0
 
+    def test_singular_above_svd_cutoff_reports_nan(self, monkeypatch):
+        # The same zero row, with the dense-SVD cutoff below m = 48.
+        from qpnls.linop import SingularOperatorError
+        monkeypatch.setattr(solver, "_SVD_MAX_M", 10)
+        p = reference_params(0.0, 0.0)
+        with pytest.raises(SingularOperatorError) as err:
+            newton_step(initial_state(p), [p.mu_n((1,))], p, N=2)
+        assert math.isnan(err.value.smallest_singular_value)
+        assert "not computed for m=48" in str(err.value)
+
+    @pytest.mark.parametrize("params, N", [
+        (reference_params(), 4),
+        (b2_params(), 2),
+        (ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1),), v=(1.0,)),
+                     alpha=(0.4142135623, 0.7320508076), theta=(0.17, 0.05),
+                     epsilon=1e-3, delta=1e-3, p=1, sites=((0, 0),),
+                     a=(1.5,)), 2),
+    ], ids=["reference", "b2", "d2"])
+    def test_correction_matches_dense_solve(self, params, N):
+        from qpnls.lattice import frozen_mode_sites
+        from qpnls.linop import assemble_H
+        state = initial_state(params)
+        om = solve_Q(state, params)
+        S = linearization_coupling(
+            state, params,
+            itertools.product(range(-N, N + 1), repeat=params.d),
+            dk_radius=2 * N)
+        op = assemble_H(params, om, Region.cube(params.b + params.d, N),
+                        0.0, S, exclude=frozen_mode_sites(params.sites))
+        rhs = solver._gather(evaluate_F(state, om, params), op.indexing)
+        dense = np.linalg.solve(op.matrix, rhs)
+        new, corr = newton_step(state, om, params, N)
+        # The initial state is zero off the frozen anchors.
+        sparse = -solver._gather(new, op.indexing)
+        scale = np.abs(dense).max()
+        assert scale > 0
+        assert np.abs(sparse - dense).max() <= 1e-12 * scale
+        assert corr == pytest.approx(scale, rel=1e-12)
+
 
 class TestSymmetrize:
     def test_symmetric_unchanged(self):
@@ -397,6 +436,14 @@ class TestRunSolver:
         assert back.omega == sol.omega
         assert back.state.coeffs == sol.state.coeffs
         assert solution_to_record(back) == rec
+
+    def test_b2_large_cube_converges(self):
+        # The last cube, N = 8, has m = 9,822 unknowns: 1.5 GB as a dense
+        # complex matrix, a few MB as a sparse LU.
+        sol = run_solver(b2_params(), N_cap=8)
+        assert sol.converged
+        assert sol.trace.steps[-1]["N"] == 8
+        assert sol.certificates.residual < 1e-11
 
     def test_divergence_raises_with_trace(self):
         # At eps = delta = 0.2 the residual falls twice, then grows twice.

@@ -8,8 +8,9 @@ enumeration is only performed on demand.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -34,12 +35,8 @@ def sup_norm(v: Iterable[int]) -> int:
     return max(vs) if vs else 0
 
 
-def _holds(value: int, rel: str) -> bool:
-    if rel == LESS:
-        return value < 0
-    if rel == GREATER:
-        return value > 0
-    raise ValueError(f"unknown relation {rel!r}")
+def _in_box(pts: np.ndarray, lo: IntVec, hi: IntVec) -> np.ndarray:
+    return ((pts >= lo) & (pts <= hi)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,8 @@ class Region:
 
     ``sign_cuts`` is a per-coordinate tuple with entries '<', '>' or None;
     the removed set is the box points satisfying *all* active (strict)
-    relations, measured relative to ``cut_origin``.
+    relations, measured relative to ``cut_origin``.  That set is itself a
+    box, ``_corner = (lo, hi)``, or None when nothing is removed.
     """
 
     lo: IntVec
@@ -68,6 +66,19 @@ class Region:
             if self.cut_origin is None:
                 object.__setattr__(self, "cut_origin", tuple(
                     (l + h) // 2 for l, h in zip(self.lo, self.hi)))
+        corner = None
+        if self.n_active_cuts():
+            lo, hi = list(self.lo), list(self.hi)
+            for j, (s, o) in enumerate(zip(self.sign_cuts, self.cut_origin)):
+                if s == LESS:
+                    hi[j] = min(hi[j], o - 1)
+                elif s == GREATER:
+                    lo[j] = max(lo[j], o + 1)
+                elif s is not None:
+                    raise ValueError(f"unknown relation {s!r}")
+            if all(l <= h for l, h in zip(lo, hi)):
+                corner = tuple(lo), tuple(hi)
+        object.__setattr__(self, "_corner", corner)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -97,52 +108,33 @@ class Region:
         """(size, r) int64 array of the member sites in C order."""
         shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
         pts = np.indices(shape, dtype=np.int64).reshape(self.r, -1).T + self.lo
-        return pts[~self._removed_mask(pts)]
+        if self._corner is None:
+            return pts
+        return pts[~_in_box(pts, *self._corner)]
 
     def sites(self) -> list[IntVec]:
         """The member sites as tuples, in the order of points()."""
+        if self._corner is None:
+            return list(itertools.product(
+                *(range(l, h + 1) for l, h in zip(self.lo, self.hi))))
         return list(zip(*self.points().T.tolist()))
-
-    def _removed_mask(self, pts: np.ndarray) -> np.ndarray:
-        # The corner where every active relation holds; none when no
-        # relation is active.
-        mask = np.full(pts.shape[0], self.n_active_cuts() > 0)
-        for j, s in enumerate(self.sign_cuts or ()):
-            if s is not None:
-                rel = pts[:, j] - self.cut_origin[j]
-                mask &= (rel < 0) if s == LESS else (rel > 0)
-        return mask
 
     def site_set(self) -> frozenset:
         return frozenset(self.sites())
 
     def size(self) -> int:
-        """Member count, computed symbolically."""
-        box = 1
-        for l, h in zip(self.lo, self.hi):
-            box *= h - l + 1
-        if self.sign_cuts is not None:
-            removed = 1
-            active = False
-            for l, h, o, s in zip(self.lo, self.hi, self.cut_origin,
-                                  self.sign_cuts):
-                if s is None:
-                    removed *= h - l + 1
-                    continue
-                active = True
-                if s == LESS:
-                    removed *= max(0, min(h, o - 1) - l + 1)
-                else:
-                    removed *= max(0, h - max(l, o + 1) + 1)
-            return box - removed if active else box
-        return box
+        """Member count: the box minus the corner."""
+        size = math.prod(h - l + 1 for l, h in zip(self.lo, self.hi))
+        if self._corner is None:
+            return size
+        return size - math.prod(h - l + 1 for l, h in zip(*self._corner))
 
     def contains_array(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an (m, r) integer array."""
         pts = np.asarray(pts)
-        inside = ((pts >= self.lo) & (pts <= self.hi)).all(axis=1)
-        if self.n_active_cuts():
-            inside &= ~self._removed_mask(pts)
+        inside = _in_box(pts, self.lo, self.hi)
+        if self._corner is not None:
+            inside &= ~_in_box(pts, *self._corner)
         return inside
 
     def diameter(self) -> int:
@@ -217,43 +209,52 @@ class SectionShape:
             raise ValueError(f"unknown section tag {self.tag!r}")
 
 
+# (region, b) pairs whose two sections are kept; the acceptance sweep of
+# every elementary region with r <= 4, N <= 6 visits 1,596.
+SECTION_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=SECTION_CACHE_SIZE)
+def _sections(region: Region, b: int) -> tuple:
+    """A region's section over Z^{b+d} off the corner's k-range (the full
+    n-box) and on it (the n-box minus the corner's n-part; None if empty)."""
+    lo, hi = region.lo[b:], region.hi[b:]
+    off = SectionShape("elementary", Region(lo, hi))
+    if region._corner is None:
+        return off, None
+    clo, chi = (c[b:] for c in region._corner)
+    cut = [j for j in range(len(lo)) if (clo[j], chi[j]) != (lo[j], hi[j])]
+    if not cut:
+        return off, None
+    if len(cut) > 1:
+        return off, SectionShape("elementary", Region(
+            lo, hi, region.sign_cuts[b:], region.cut_origin[b:]))
+    # One coordinate is cut, at one end: the rest of it is kept.
+    j = cut[0]
+    if clo[j] == lo[j]:
+        lo = lo[:j] + (chi[j] + 1,) + lo[j + 1:]
+    else:
+        hi = hi[:j] + (clo[j] - 1,) + hi[j + 1:]
+    return off, SectionShape("wide_rectangle", Region(lo, hi))
+
+
 def region_section(region: Region, b: int, k: IntVec) -> SectionShape:
     """Section {n : (k, n) in region} of a region over Z^{b+d}, classified
-    symbolically as an elementary region or a wide rectangle.
+    symbolically as an elementary region or a wide rectangle.  Every k in
+    the corner's k-range shares one answer, and every other k another.
     """
-    r = region.r
-    d = r - b
-    if d < 1 or len(k) != b:
+    if region.r - b < 1 or len(k) != b:
         raise ValueError("bad split: need len(k) == b and d >= 1")
-    if not all(l <= c <= h for c, l, h in zip(k, region.lo[:b], region.hi[:b])):
+    if not all(l <= c <= h for c, l, h in zip(k, region.lo, region.hi)):
         raise EmptySectionError(f"k={k} outside the projection")
-    base = Region(region.lo[b:], region.hi[b:])
-    if region.sign_cuts is None:
-        return SectionShape("elementary", base)
-
-    origin = region.cut_origin
-    # Any violated k-relation empties the removed corner at this k.
-    for i in range(b):
-        rel = region.sign_cuts[i]
-        if rel is not None and not _holds(k[i] - origin[i], rel):
-            return SectionShape("elementary", base)
-
-    induced = region.sign_cuts[b:]
-    n_active = sum(1 for s in induced if s is not None)
-    if n_active == 0:
+    off, on = _sections(region, b)
+    corner = region._corner
+    if corner is None or not all(l <= c <= h for c, l, h in zip(k, *corner)):
+        return off
+    if on is None:
         # The whole section lies in the removed corner.
         raise EmptySectionError(f"k={k} outside the projection (fully cut)")
-    if n_active == 1:
-        lo, hi = list(base.lo), list(base.hi)
-        j = next(i for i, s in enumerate(induced) if s is not None)
-        if induced[j] == GREATER:
-            hi[j] = min(hi[j], origin[b + j])
-        else:
-            lo[j] = max(lo[j], origin[b + j])
-        return SectionShape("wide_rectangle", Region(tuple(lo), tuple(hi)))
-    return SectionShape(
-        "elementary",
-        Region(base.lo, base.hi, sign_cuts=induced, cut_origin=origin[b:]))
+    return on
 
 
 # -- the +/- layered lattice ------------------------------------------

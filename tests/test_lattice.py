@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
+import math
 from collections import defaultdict, deque
 
 import numpy as np
 import pytest
 
+from qpnls import lattice
 from qpnls.lattice import (EmptyRegionError, EmptySectionError, Region,
                            enumerate_elementary_regions, frozen_mode_sites,
                            index_region, index_sites, region_section,
@@ -14,6 +17,24 @@ def section_site_set(region, b, k):
     """Brute-force section {n : (k, n) in region}, the oracle for
     region_section."""
     return frozenset(y[b:] for y in region.sites() if y[:b] == tuple(k))
+
+
+def member(reg, y):
+    """Membership written out: inside the box and not in the removed
+    corner, where every active sign relation holds."""
+    if not all(l <= c <= h for c, l, h in zip(y, reg.lo, reg.hi)):
+        return False
+    if reg.sign_cuts is None or not any(reg.sign_cuts):
+        return True
+    return not all((c - o < 0) if s == "<" else (c - o > 0)
+                   for c, o, s in zip(y, reg.cut_origin, reg.sign_cuts)
+                   if s)
+
+
+def hand_site_set(reg):
+    box = itertools.product(*[range(l, h + 1)
+                              for l, h in zip(reg.lo, reg.hi)])
+    return frozenset(y for y in box if member(reg, y))
 
 
 def brute_force_shape_count(r, N):
@@ -98,21 +119,12 @@ class TestRegionBasics:
             assert reg.contains(p) == bool(m)
 
     def test_points_match_hand_membership(self):
-        # membership written out in the test: inside the box and not in
-        # the removed corner, where every active sign relation holds
-        def member(reg, y):
-            if not all(l <= c <= h for c, l, h in zip(y, reg.lo, reg.hi)):
-                return False
-            if reg.sign_cuts is None or not any(reg.sign_cuts):
-                return True
-            return not all((c - o < 0) if s == "<" else (c - o > 0)
-                           for c, o, s in zip(y, reg.cut_origin,
-                                              reg.sign_cuts) if s)
-
         regs = enumerate_elementary_regions(3, 2)
         regs += [Region((-2, 0, -1), (2, 3, 1),
                         sign_cuts=(">", None, "<"), cut_origin=(1, 2, 0)),
-                 Region((0, 0, 0), (2, 2, 2), sign_cuts=(None,) * 3)]
+                 Region((0, 0, 0), (2, 2, 2), sign_cuts=(None,) * 3),
+                 Region((-3, -3, -1), (1, 0, -1), (">", None, ">"),
+                        (-4, 0, 1))]
         grid = np.asarray(list(itertools.product(range(-3, 6), repeat=3)))
         for reg in regs:
             want = [tuple(y) for y in grid.tolist() if member(reg, y)]
@@ -135,6 +147,10 @@ class TestRegionBasics:
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
             Region((1,), (0,))
+
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(ValueError, match="unknown relation"):
+            Region((0, 0), (2, 2), sign_cuts=("<=", ">"))
 
 
 class TestRegionSection:
@@ -190,6 +206,71 @@ class TestRegionSection:
                                 widths = [h - l for l, h in
                                           zip(sec.payload.lo, sec.payload.hi)]
                                 assert min(widths) >= N
+
+    def test_inactive_cuts_give_full_section(self):
+        reg = Region((0, 0, 0), (2, 2, 2), sign_cuts=(None,) * 3)
+        sec = region_section(reg, 1, (0,))
+        assert sec.tag == "elementary"
+        assert sec.payload == Region((0, 0), (2, 2))
+
+    def test_fully_cut_section_is_empty(self):
+        # the n-cut keeps nothing of the n-box, so the region is empty
+        reg = Region((1, 0), (5, 2), (None, "<"), (2, 3))
+        assert reg.size() == 0
+        with pytest.raises(EmptySectionError):
+            region_section(reg, 1, (1,))
+
+    def test_random_regions_match_brute_force(self):
+        # off-centre boxes, any cut pattern, cut origins up to 2 sites
+        # beyond the box; k runs one site beyond each edge
+        rng = np.random.default_rng(13)
+        bad = []
+        for _ in range(1000):
+            r = int(rng.integers(2, 5))
+            lo = tuple(int(c) for c in rng.integers(-2, 3, r))
+            hi = tuple(int(c) for c in lo + rng.integers(0, 4, r))
+            cuts = tuple(rng.choice(["<", ">", None], r).tolist())
+            origin = tuple(int(rng.integers(l - 2, h + 3))
+                           for l, h in zip(lo, hi))
+            reg = Region(lo, hi, cuts, origin)
+            sites = hand_site_set(reg)
+            assert reg.size() == len(sites)
+            payloads = {}
+            for b in range(1, r):
+                n_box = hand_site_set(Region(lo[b:], hi[b:]))
+                for k in itertools.product(
+                        *[range(l - 1, h + 2) for l, h in zip(lo, hi[:b])]):
+                    truth = frozenset(y[b:] for y in sites if y[:b] == k)
+                    try:
+                        sec = region_section(reg, b, k)
+                    except EmptySectionError:
+                        if truth:
+                            bad.append((reg, b, k, "empty"))
+                        continue
+                    got = payloads.setdefault(sec.payload,
+                                              hand_site_set(sec.payload))
+                    # a wide rectangle is a box, and not the whole n-box
+                    widths = [max(c) - min(c) + 1 for c in zip(*truth)]
+                    wide = (len(truth) == math.prod(widths)
+                            and truth != n_box)
+                    if got != truth or (sec.tag == "wide_rectangle") != wide:
+                        bad.append((reg, b, k, sec))
+        assert bad == []
+
+    def test_sections_shared_per_class(self):
+        reg = Region.cube(3, 2)
+        reg = Region(reg.lo, reg.hi, sign_cuts=(">", ">", "<"),
+                     cut_origin=(0, 0, 0))
+        # k = (1,) and (2,) meet the corner's k-range, (-1,) and (0,) miss it
+        on, off = region_section(reg, 1, (1,)), region_section(reg, 1, (-1,))
+        assert region_section(reg, 1, (2,)) is on
+        assert region_section(reg, 1, (0,)) is off
+        assert on is not off
+        assert isinstance(lattice._sections.cache_info().maxsize, int)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            on.payload.lo = (0, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            off.tag = "wide_rectangle"
 
 
 def _oracle_order(sites):

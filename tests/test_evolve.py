@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.special import jv
 
 from qpnls.evolve import (BlowUpError, LatticeBox, closed_form_decoupled,
                           integrate, reconstruct, tail_mass, verify)
+from qpnls.linop import box_operator
 from qpnls.potential import ModelParams, TrigPoly, reference_params
 from qpnls.solver import run_solver
 
@@ -21,6 +24,52 @@ def flat_potential_params(epsilon, delta=0.0):
     return ModelParams(V=TrigPoly(d=1, K=1, gamma=((1,),), v=(0.0,)),
                        alpha=(0.3,), theta=(0.1,), epsilon=epsilon,
                        delta=delta, p=1, sites=((0,),), a=(1.0,))
+
+
+def d2_params(p=1):
+    return ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1),), v=(1.0,)),
+                       alpha=(0.4142135623, 0.7320508076),
+                       theta=(0.17, 0.05), epsilon=0.05, delta=0.02, p=p,
+                       sites=((0, 0),), a=(1.0,))
+
+
+def random_field(box, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(box.shape)
+            + 1j * rng.standard_normal(box.shape))
+
+
+def reference_integrate(u0, params, box, T, dt, store_every=1):
+    """RK4 as written out: L @ u, the factor 1j on the right-hand side, a
+    fresh array per stage and np.linalg.norm.  Returns (times, states,
+    norm_drift) for comparison with integrate."""
+    L = box_operator(params, box.R)
+    delta, p = params.delta, params.p
+
+    def rhs(u):
+        lin = (L @ u.ravel()).reshape(u.shape)
+        if delta != 0.0:
+            lin = lin + delta * np.abs(u) ** (2 * p) * u
+        return 1j * lin
+
+    n_steps = int(round(T / dt))
+    u = np.array(u0, dtype=complex)
+    norm0 = np.linalg.norm(u)
+    times = [0.0]
+    states = [u.copy()]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = step * dt
+        assert np.linalg.norm(u) <= 10.0 * max(norm0, 1e-300)
+        if step % store_every == 0 or step == n_steps:
+            times.append(t)
+            states.append(u.copy())
+    return (np.asarray(times), np.asarray(states),
+            float(abs(np.linalg.norm(u) - norm0)))
 
 
 class TestReconstruct:
@@ -104,14 +153,9 @@ class TestIntegrate:
         assert traj.norm_drift <= 1e-8 * np.linalg.norm(u0)
 
     def test_d2_rk4_step_oracle(self):
-        p = ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1),), v=(1.0,)),
-                        alpha=(0.4142135623, 0.7320508076),
-                        theta=(0.17, 0.05), epsilon=0.05, delta=0.02, p=1,
-                        sites=((0, 0),), a=(1.0,))
+        p = d2_params()
         box = LatticeBox(2, 2)
-        rng = np.random.default_rng(37)
-        u0 = (rng.standard_normal(box.shape)
-              + 1j * rng.standard_normal(box.shape))
+        u0 = random_field(box, 37)
         dt = 0.01
 
         def rhs(u):
@@ -152,6 +196,71 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(np.ones(3, dtype=complex), p, LatticeBox(1, 1), 1.0,
                       0.0)
+
+    @pytest.mark.parametrize("shape", [(7, 1), (6,), (8,), ()])
+    def test_u0_must_have_box_shape(self, shape):
+        # the right-hand side reads u0 by the box's site count unchecked
+        with pytest.raises(ValueError, match="shape"):
+            integrate(np.ones(shape, dtype=complex), reference_params(),
+                      LatticeBox(1, 3), 1.0, 0.1)
+
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_store_every_must_be_positive(self, store_every):
+        with pytest.raises(ValueError, match="store_every"):
+            integrate(np.ones(7, dtype=complex), reference_params(),
+                      LatticeBox(1, 3), 1.0, 0.1, store_every=store_every)
+
+    def test_u0_untouched_and_states_own_their_memory(self):
+        box = LatticeBox(2, 2)
+        u0 = random_field(box, 41)
+        before = u0.copy()
+        traj = integrate(u0, d2_params(), box, T=0.05, dt=0.01)
+        assert np.array_equal(u0, before)
+        assert np.array_equal(traj.states[0], u0)
+        assert len(traj.states) == 6
+        for i, j in itertools.combinations(range(len(traj.states)), 2):
+            assert not np.shares_memory(traj.states[i], traj.states[j])
+
+
+class TestIntegrateParity:
+    """integrate is bitwise the RK4 that reference_integrate writes out."""
+
+    @staticmethod
+    def assert_bitwise(u0, params, box, T, dt, store_every=1):
+        traj = integrate(u0, params, box, T, dt, store_every=store_every)
+        times, states, drift = reference_integrate(u0, params, box, T, dt,
+                                                   store_every)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert traj.norm_drift == drift
+
+    def test_reference_solution(self):
+        sol = run_solver(reference_params())
+        box, u0 = reconstruct(sol, 0.0)
+        self.assert_bitwise(u0, reference_params(), box, T=1.0, dt=1e-3)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_d2(self, p):
+        box = LatticeBox(2, 4)
+        self.assert_bitwise(random_field(box, 37), d2_params(p), box,
+                            T=0.5, dt=0.01, store_every=7)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_linear(self, epsilon):
+        box = LatticeBox(1, 5)
+        self.assert_bitwise(random_field(box, 43),
+                            reference_params(epsilon, 0.0), box,
+                            T=0.5, dt=1e-3, store_every=3)
+
+    @pytest.mark.parametrize("box", [LatticeBox(1, 10), LatticeBox(2, 4)])
+    def test_csr_kernel_is_matmul(self, box):
+        # integrate calls scipy's private CSR kernel the way L @ x does
+        params = reference_params() if box.d == 1 else d2_params()
+        L = box_operator(params, box.R)
+        x = random_field(box, 47).ravel()
+        y = np.zeros(L.shape[0], dtype=complex)
+        csr_matvec(L.shape[0], L.shape[1], L.indptr, L.indices, L.data, x, y)
+        assert np.array_equal(y, L @ x)
 
 
 class TestVerify:

@@ -183,10 +183,6 @@ class TestRegionSection:
         for r in (2, 3):
             for N in (1, 2, 3):
                 for reg in enumerate_elementary_regions(r, N):
-                    groups = defaultdict(set)
-                    for y in reg.sites():
-                        for b in range(1, r):
-                            pass
                     for b in range(1, r):
                         groups = defaultdict(set)
                         for y in reg.sites():

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .lattice import frozen_mode_sites
@@ -153,6 +152,9 @@ def _safe_abs_det(W: np.ndarray) -> float:
     cond = np.linalg.cond(W) if R > 1 else 1.0
     if np.isfinite(cond) and cond <= 1e12:
         return float(abs(np.linalg.det(W)))
+    # Imported here: only this branch needs mpmath, and importing it costs
+    # about 30 ms of every process's start-up.
+    import mpmath
     with mpmath.workdps(50):
         return float(abs(mpmath.det(mpmath.matrix(W.tolist()))))
 

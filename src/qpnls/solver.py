@@ -9,12 +9,18 @@ growing regions.  All nonlinear terms are convolutions in k at fixed n.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .lattice import (Indexing, Region, Site, box_sup_norms,
                       frozen_mode_sites, index_region, index_sites, recenter,
@@ -270,21 +276,65 @@ def linearization_coupling(state: FourierState, params: ModelParams,
     return kernel
 
 
+# The extension module behind scipy.sparse.linalg.splu.
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+@functools.cache
+def _superlu():
+    """SciPy's SuperLU extension, loaded from its file by itself.
+
+    The public `from scipy.sparse.linalg import splu` loads all of
+    scipy.linalg, which costs more than every factorization of a default
+    run; the extension alone needs only numpy.  A module already imported
+    under its name is reused, and one loaded here is registered under that
+    name, so a later `import scipy.sparse.linalg` takes this module rather
+    than initialising the extension a second time.
+    """
+    module = sys.modules.get(_SUPERLU)
+    if module is None:
+        folder = os.path.join(sparse.__path__[0], "linalg", "_dsolve")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_superlu" + suffix)
+            if os.path.exists(path):
+                break
+        spec = importlib.util.spec_from_file_location(_SUPERLU, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_SUPERLU] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def _sparse_lu(A: sparse.csc_matrix):
+    """splu(A, permc_spec="MMD_AT_PLUS_A"): the same gstrf call with the
+    same arguments, so the same factors and the same SuperLU object.
+    Raises RuntimeError when the factor is exactly singular."""
+    A.sum_duplicates()
+    if max(A.indptr[-1], A.shape[0]) > np.iinfo(np.intc).max:
+        raise ValueError("index values too large for SuperLU")
+    # The pattern is structurally symmetric, so a minimum-degree order on
+    # A^T + A fills less than the default column order (COLAMD).
+    return _superlu().gstrf(
+        A.shape[0], A.nnz, A.data, A.indices.astype(np.intc, copy=False),
+        A.indptr.astype(np.intc, copy=False),
+        csc_construct_func=sparse.csc_array, ilu=False,
+        options=dict(DiagPivotThresh=None, ColPerm="MMD_AT_PLUS_A",
+                     PanelSize=None, Relax=None))
+
+
 def newton_step(state: FourierState, omega: Sequence[float],
                 params: ModelParams, N: int) -> tuple[FourierState, float]:
     """One Newton correction on the cube of size N, excited sites frozen.
 
     Builds the linearized operator (diagonal + hopping + nonlinearity
     coupling) as a sparse matrix on the layered cube minus the excited
-    set, factors it with a sparse LU (SuperLU), solves for the correction
+    set, factors it with a sparse LU (SuperLU with a minimum-degree order
+    on A^T + A, called through _sparse_lu), solves for the correction
     against the current residual, and subtracts it.  No dense m x m array
     is built, except for the SVD that reports the smallest singular value
     of an exactly singular operator with at most _SVD_MAX_M unknowns; a
     larger one raises SingularOperatorError with nan.
     """
-    # Imported here, since it loads scipy.linalg, which only Newton needs.
-    from scipy.sparse.linalg import splu
-
     b, d = params.b, params.d
     idx = index_region(Region.cube(b + d, N), b,
                        frozen_mode_sites(params.sites))
@@ -294,9 +344,7 @@ def newton_step(state: FourierState, omega: Sequence[float],
     A = lattice_operator(params, omega, idx, 0.0, S).tocsc()
     rhs = _gather(evaluate_F(state, omega, params), idx)
     try:
-        # The pattern is structurally symmetric, so a minimum-degree order
-        # on A^T + A fills less than the default column order (COLAMD).
-        delta = splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+        delta = _sparse_lu(A).solve(rhs)
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         message = f"linearized operator singular on cube N={N}"
         if idx.m <= _SVD_MAX_M:

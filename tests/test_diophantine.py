@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpnls.diophantine import (DCReport, DiophParams, WronskianInput,
-                               _wronskian_columns,
+                               _safe_abs_det, _wronskian_columns,
                                bgg_check, check_dc_conditions,
                                clustering_count, estimate_excluded_measure,
                                km_bound, sublevel_measure_1d, wilson_interval,
@@ -180,6 +180,12 @@ class TestWronskian:
         direct, factored = wronskian_det(inp)
         assert direct == pytest.approx(0.0, abs=1e-12)
         assert factored == pytest.approx(0.0, abs=1e-12)
+
+    def test_ill_conditioned_det_in_extended_precision(self):
+        # Condition number 1e13 is above the LU cutoff of 1e12, so the
+        # determinant comes from the mpmath branch; on a diagonal matrix it
+        # is exact.
+        assert _safe_abs_det(np.diag([1.0, 1e-13])) == 1e-13
 
     def test_size_cap(self):
         V = TrigPoly(d=2, K=2, gamma=((1, 1), (1, -1), (2, 1)),

@@ -247,18 +247,21 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_regions_leaves_linalg_out(self, tmp_path):
-        # Only the Newton solve needs scipy.sparse.linalg, which loads
-        # scipy.linalg; the other stages should not pay for the import.
-        args = ["regions", "--out", str(tmp_path)]
+    @pytest.mark.parametrize("command", ["regions", "solve", "all"])
+    def test_command_leaves_linalg_out(self, tmp_path, command):
+        # The Newton solve loads SciPy's SuperLU extension by itself
+        # (solver._superlu), since scipy.sparse.linalg would load
+        # scipy.linalg too, and mpmath is imported only for an
+        # ill-conditioned Wronskian; no command should pay for any of them.
+        args = [command, "--out", str(tmp_path)]
         code = ("import sys, qpnls.harness; "
                 f"code = qpnls.harness.main({args!r}); "
                 "print(code, 'scipy.sparse.linalg' in sys.modules, "
-                "'scipy.linalg' in sys.modules)")
+                "'scipy.linalg' in sys.modules, 'mpmath' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False False"
+        assert proc.stdout.splitlines()[-1] == "0 False False False"
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "qpnls.harness", "-h"],

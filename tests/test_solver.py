@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +48,14 @@ def b2_params():
     return ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
                        theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
                        sites=((0,), (2,)), a=(1.5, 1.2))
+
+
+def d2_params():
+    """One excited site in d = 2."""
+    return ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1),), v=(1.0,)),
+                       alpha=(0.4142135623, 0.7320508076), theta=(0.17, 0.05),
+                       epsilon=1e-3, delta=1e-3, p=1, sites=((0, 0),),
+                       a=(1.5,))
 
 
 def reference_loop(params, M=2, r_max=10, tol=1e-11, N_cap=16):
@@ -335,10 +345,7 @@ class TestNewtonStep:
     @pytest.mark.parametrize("params, N", [
         (reference_params(), 4),
         (b2_params(), 2),
-        (ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1),), v=(1.0,)),
-                     alpha=(0.4142135623, 0.7320508076), theta=(0.17, 0.05),
-                     epsilon=1e-3, delta=1e-3, p=1, sites=((0, 0),),
-                     a=(1.5,)), 2),
+        (d2_params(), 2),
     ], ids=["reference", "b2", "d2"])
     def test_correction_matches_dense_solve(self, params, N):
         from qpnls.lattice import frozen_mode_sites
@@ -360,6 +367,58 @@ class TestNewtonStep:
         assert scale > 0
         assert np.abs(sparse - dense).max() <= 1e-12 * scale
         assert corr == pytest.approx(scale, rel=1e-12)
+
+    @pytest.mark.parametrize("params, N", [
+        (reference_params(), 4),
+        (b2_params(), 2),
+        (b2_params(), 5),
+        (d2_params(), 2),
+    ], ids=["reference-N4", "b2-N2", "b2-N5", "d2-N2"])
+    def test_correction_bitwise_equals_public_splu(self, params, N):
+        # newton_step calls SuperLU's gstrf itself; it must factor exactly
+        # as the public splu with the same column order does.
+        from scipy.sparse.linalg import splu
+        from qpnls.lattice import frozen_mode_sites
+        from qpnls.linop import lattice_operator
+        state = initial_state(params)
+        om = solve_Q(state, params)
+        idx = index_region(Region.cube(params.b + params.d, N), params.b,
+                           frozen_mode_sites(params.sites))
+        S = linearization_coupling(
+            state, params,
+            itertools.product(range(-N, N + 1), repeat=params.d),
+            dk_radius=2 * N)
+        A = lattice_operator(params, om, idx, 0.0, S).tocsc()
+        rhs = solver._gather(evaluate_F(state, om, params), idx)
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+        new, _ = newton_step(state, om, params, N)
+        # The initial state is zero off the frozen anchors.
+        assert np.array_equal(-solver._gather(new, idx), lu.solve(rhs))
+        # The adjoint solve an a posteriori bound would use agrees too.
+        assert np.array_equal(solver._sparse_lu(A).solve(rhs, trans="H"),
+                              lu.solve(rhs, trans="H"))
+
+    @pytest.mark.parametrize("public_first", [True, False],
+                             ids=["public-first", "solver-first"])
+    def test_superlu_module_shared_with_scipy(self, public_first):
+        # Whichever loads SciPy's SuperLU extension first, the solver and
+        # scipy.sparse.linalg hold one module object, initialised once, and
+        # the public splu still works after the solver has loaded it.
+        public = "import scipy.sparse.linalg as la"
+        solve = ("from qpnls import potential, solver; "
+                 "p = potential.reference_params(); "
+                 "s = solver.initial_state(p); "
+                 "solver.newton_step(s, solver.solve_Q(s, p), p, 2)")
+        code = "\n".join([
+            "import sys, numpy as np, scipy.sparse as sp",
+            *((public, solve) if public_first else (solve, public)),
+            "x = la.splu(sp.csc_array(np.diag([2.0, 4.0]))).solve(np.ones(2))",
+            "print(solver._superlu() is sys.modules[solver._SUPERLU] "
+            "is la._dsolve.linsolve._superlu, x.tolist())"])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True [0.5, 0.25]"
 
 
 class TestSymmetrize:

@@ -8,20 +8,16 @@ constructed series actually solves the equation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec
 
-from .lattice import box_sup_norms, recenter
-from .linop import box_operator
+from .lattice import Region, box_sup_norms, recenter
+from .linop import _SPARSETOOLS, _scipy_extension, box_operator
 from .potential import ModelParams
 from .solver import Solution
-
-IntVec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -34,16 +30,6 @@ class LatticeBox:
     @property
     def shape(self) -> tuple[int, ...]:
         return (2 * self.R + 1,) * self.d
-
-    def sites(self) -> list[IntVec]:
-        return list(itertools.product(range(-self.R, self.R + 1),
-                                      repeat=self.d))
-
-    def index(self, n: IntVec) -> tuple[int, ...]:
-        return tuple(c + self.R for c in n)
-
-    def contains(self, n: IntVec) -> bool:
-        return all(-self.R <= c <= self.R for c in n)
 
 
 def reconstruct(solution: Solution, t: float,
@@ -92,7 +78,8 @@ def integrate(u0: np.ndarray, params: ModelParams, box: LatticeBox,
     if store_every < 1:
         raise ValueError("store_every must be at least 1")
     L = box_operator(params, box.R)
-    m = L.shape[0]
+    m = L.m
+    csr_matvec = _scipy_extension(_SPARSETOOLS).csr_matvec
     delta, p = np.float64(params.delta), params.p
     n_steps = int(round(T / dt))
     u = np.array(u0, dtype=complex)
@@ -138,8 +125,8 @@ def integrate(u0: np.ndarray, params: ModelParams, box: LatticeBox,
 def closed_form_decoupled(u0: np.ndarray, params: ModelParams,
                           box: LatticeBox, t: float) -> np.ndarray:
     """Exact flow for eps = delta = 0: per-site phase rotation."""
-    mu_grid = box_operator(params, box.R).diagonal().real.reshape(box.shape)
-    return np.exp(1j * mu_grid * t) * u0
+    mu_grid = params.mu_values(Region.cube(box.d, box.R).points())
+    return np.exp(1j * mu_grid.reshape(box.shape) * t) * u0
 
 
 @dataclass(frozen=True)

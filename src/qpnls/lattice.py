@@ -101,9 +101,6 @@ class Region:
             return 0
         return sum(1 for s in self.sign_cuts if s is not None)
 
-    def contains(self, y: IntVec) -> bool:
-        return bool(self.contains_array([y])[0])
-
     def points(self) -> np.ndarray:
         """(size, r) int64 array of the member sites in C order."""
         shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
@@ -118,9 +115,6 @@ class Region:
             return list(itertools.product(
                 *(range(l, h + 1) for l, h in zip(self.lo, self.hi))))
         return list(zip(*self.points().T.tolist()))
-
-    def site_set(self) -> frozenset:
-        return frozenset(self.sites())
 
     def size(self) -> int:
         """Member count: the box minus the corner."""

@@ -3,24 +3,29 @@
 An operator lives on the +/- layered sites of a region: diagonal part
 built from sigma, k . omega and the potential values mu_n, a hopping
 Laplacian acting in n on each layer, and an optional short-range coupling
-term.  lattice_operator builds all three as one sparse matrix on any
-indexed site set; Newton, the residual, the time-domain
-right-hand side and the classification sweeps all use it.  Green's
-functions are computed from one SVD each and classified by inverse norm
-and off-diagonal decay.  Sigma sweeps classify every sigma of a region
-from one eigendecomposition per region and layer: the +/- layers
-decouple and each is real symmetric, shifted by -+ sigma.
+term.  lattice_operator builds all three as one CSR matrix, by SciPy's
+kernels loaded without scipy.sparse, on any indexed site set; Newton, the
+residual, the time-domain right-hand side and the classification sweeps
+all use it.  Green's functions are computed from one SVD each and
+classified by inverse norm and off-diagonal decay.  Sigma sweeps classify
+every sigma of a region from one eigendecomposition per region and layer:
+the +/- layers decouple and each is real symmetric, shifted by -+ sigma.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
+import scipy
 
 from .lattice import (Indexing, Region, Site, enumerate_elementary_regions,
                       index_region, index_sites, sup_norm)
@@ -116,9 +121,95 @@ def _short_range_entries(keys: _SiteKeys, kernel: dict, scale: float
     return rows[hit], cols, values[entry[hit]]
 
 
+@functools.cache
+def _scipy_extension(name: str):
+    """The SciPy extension module of this full dotted name, loaded from
+    its file under scipy.__path__ by itself.
+
+    Its package's __init__ would cost more: scipy.sparse loads SciPy's
+    array-API layer, and scipy.sparse.linalg all of scipy.linalg, while the
+    extension needs only numpy.  A module already imported under its name
+    is reused, and one loaded here is registered under that name, so a
+    later import of its package takes this module rather than initialising
+    the extension again.  The package attribute stays unbound then; SciPy's
+    own `from . import` reads the module from sys.modules.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        *package, base = name.split(".")
+        folder = os.path.join(scipy.__path__[0], *package[1:])
+        paths = [os.path.join(folder, base + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.exists(p)), None)
+        if path is None:
+            raise ImportError(f"no extension module {name} in {folder}",
+                              name=name)
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A square complex matrix in SciPy's canonical CSR layout: sorted
+    indices, no duplicates, int32 indices and indptr.  Each method runs
+    the _sparsetools kernel that csr_matrix's method of that name runs."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.indptr.size - 1
+
+    def _kernel(self, name: str, *out: np.ndarray) -> tuple:
+        getattr(_scipy_extension(_SPARSETOOLS), name)(
+            self.m, self.m, self.indptr, self.indices, self.data, *out)
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._kernel("csr_matvec", x, np.zeros(self.m, complex))[1]
+
+    def toarray(self) -> np.ndarray:
+        return self._kernel("csr_todense",
+                            np.zeros((self.m, self.m), complex))[0]
+
+    def tocsc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(data, indices, indptr) in canonical CSC layout."""
+        indptr, indices, data = self._kernel(
+            "csr_tocsc", *map(np.empty_like, (self.indptr, self.indices,
+                                              self.data)))
+        return data, indices, indptr
+
+
+def _coo_to_csr(m: int, rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> CSR:
+    """csr_matrix((vals, (rows, cols)), shape=(m, m)) by the kernels it
+    runs, in its order, so every entry is bitwise the same."""
+    if max(m, vals.size) > np.iinfo(np.int32).max:
+        raise ValueError("operator too large for int32 CSR indices")
+    kernels = _scipy_extension(_SPARSETOOLS)
+    indptr, indices = np.empty(m + 1, np.int32), np.empty(vals.size, np.int32)
+    data = np.empty_like(vals)
+    kernels.coo_tocsr(m, m, vals.size, rows.astype(np.int32),
+                      cols.astype(np.int32), vals, indptr, indices, data)
+    if not kernels.csr_has_canonical_format(m, indptr, indices):
+        if not kernels.csr_has_sorted_indices(m, indptr, indices):
+            kernels.csr_sort_indices(m, indptr, indices, data)
+        kernels.csr_sum_duplicates(m, m, indptr, indices, data)
+        indices, data = indices[:indptr[-1]], data[:indptr[-1]]
+    return CSR(data, indices, indptr)
+
+
 def lattice_operator(params: ModelParams, omega: Sequence[float],
                      idx: Indexing, sigma: float = 0.0,
-                     S: Optional[dict] = None) -> sparse.csr_matrix:
+                     S: Optional[dict] = None) -> CSR:
     """D + epsilon * (hopping in n, per layer) + delta * S on the indexed
     sites, as a complex CSR matrix.  S is a short-range kernel, Toplitz in
     k and diagonal in n: {(dk, n, xi, xi'): value} couples each indexed
@@ -139,11 +230,10 @@ def lattice_operator(params: ModelParams, omega: Sequence[float],
     if kernel:
         terms.append(_short_range_entries(keys, kernel, params.delta))
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    return sparse.csr_matrix((vals.astype(complex), (rows, cols)),
-                             shape=(m, m))
+    return _coo_to_csr(m, rows, cols, vals.astype(complex))
 
 
-def box_operator(params: ModelParams, R: int) -> sparse.csr_matrix:
+def box_operator(params: ModelParams, R: int) -> CSR:
     """The single-particle operator mu_n + epsilon * hopping on the box
     [-R, R]^d, sites in row-major order: the + layer with k = () and
     sigma = 0."""

@@ -9,23 +9,17 @@ growing regions.  All nonlinear terms are convolutions in k at fixed n.
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import itertools
 import math
-import os
-import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .lattice import (Indexing, Region, Site, box_sup_norms,
                       frozen_mode_sites, index_region, index_sites, recenter,
                       sup_norm)
-from .linop import SingularOperatorError, lattice_operator
+from .linop import SingularOperatorError, _scipy_extension, lattice_operator
 from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
@@ -280,44 +274,17 @@ def linearization_coupling(state: FourierState, params: ModelParams,
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
 
-@functools.cache
-def _superlu():
-    """SciPy's SuperLU extension, loaded from its file by itself.
-
-    The public `from scipy.sparse.linalg import splu` loads all of
-    scipy.linalg, which costs more than every factorization of a default
-    run; the extension alone needs only numpy.  A module already imported
-    under its name is reused, and one loaded here is registered under that
-    name, so a later `import scipy.sparse.linalg` takes this module rather
-    than initialising the extension a second time.
-    """
-    module = sys.modules.get(_SUPERLU)
-    if module is None:
-        folder = os.path.join(sparse.__path__[0], "linalg", "_dsolve")
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(folder, "_superlu" + suffix)
-            if os.path.exists(path):
-                break
-        spec = importlib.util.spec_from_file_location(_SUPERLU, path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_SUPERLU] = module
-        spec.loader.exec_module(module)
-    return module
-
-
-def _sparse_lu(A: sparse.csc_matrix):
-    """splu(A, permc_spec="MMD_AT_PLUS_A"): the same gstrf call with the
-    same arguments, so the same factors and the same SuperLU object.
+def _sparse_lu(csc: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """splu(A, permc_spec="MMD_AT_PLUS_A") on A's CSC arrays from
+    CSR.tocsc: the same gstrf call, so the same factors (the matrices of
+    SuperLU.L and .U, never read here, would need csc_construct_func).
     Raises RuntimeError when the factor is exactly singular."""
-    A.sum_duplicates()
-    if max(A.indptr[-1], A.shape[0]) > np.iinfo(np.intc).max:
-        raise ValueError("index values too large for SuperLU")
+    data, indices, indptr = csc
     # The pattern is structurally symmetric, so a minimum-degree order on
     # A^T + A fills less than the default column order (COLAMD).
-    return _superlu().gstrf(
-        A.shape[0], A.nnz, A.data, A.indices.astype(np.intc, copy=False),
-        A.indptr.astype(np.intc, copy=False),
-        csc_construct_func=sparse.csc_array, ilu=False,
+    return _scipy_extension(_SUPERLU).gstrf(
+        indptr.size - 1, int(indptr[-1]), data, indices, indptr,
+        csc_construct_func=None, ilu=False,
         options=dict(DiagPivotThresh=None, ColPerm="MMD_AT_PLUS_A",
                      PanelSize=None, Relax=None))
 
@@ -341,10 +308,10 @@ def newton_step(state: FourierState, omega: Sequence[float],
     S = linearization_coupling(
         state, params, itertools.product(range(-N, N + 1), repeat=d),
         dk_radius=2 * N)
-    A = lattice_operator(params, omega, idx, 0.0, S).tocsc()
+    A = lattice_operator(params, omega, idx, 0.0, S)
     rhs = _gather(evaluate_F(state, omega, params), idx)
     try:
-        delta = _sparse_lu(A).solve(rhs)
+        delta = _sparse_lu(A.tocsc()).solve(rhs)
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         message = f"linearized operator singular on cube N={N}"
         if idx.m <= _SVD_MAX_M:

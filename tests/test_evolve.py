@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse import csr_matrix
 from scipy.special import jv
 
 from qpnls.evolve import (BlowUpError, LatticeBox, closed_form_decoupled,
                           integrate, reconstruct, tail_mass, verify)
-from qpnls.linop import box_operator
+from qpnls.linop import _SPARSETOOLS, _scipy_extension, box_operator
 from qpnls.potential import ModelParams, TrigPoly, reference_params
 from qpnls.solver import run_solver
 
@@ -33,6 +33,18 @@ def d2_params(p=1):
                        sites=((0, 0),), a=(1.0,))
 
 
+def box_index(box, n):
+    """Array index of site n in a field on the box."""
+    return tuple(c + box.R for c in n)
+
+
+def scipy_box_operator(params, box):
+    """The box operator as SciPy's own csr_matrix, the oracle of the CSR
+    kernel path."""
+    L = box_operator(params, box.R)
+    return csr_matrix((L.data, L.indices, L.indptr), shape=(L.m, L.m))
+
+
 def random_field(box, seed):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal(box.shape)
@@ -40,10 +52,10 @@ def random_field(box, seed):
 
 
 def reference_integrate(u0, params, box, T, dt, store_every=1):
-    """RK4 as written out: L @ u, the factor 1j on the right-hand side, a
-    fresh array per stage and np.linalg.norm.  Returns (times, states,
-    norm_drift) for comparison with integrate."""
-    L = box_operator(params, box.R)
+    """RK4 as written out: L @ u with SciPy's csr_matrix, the factor 1j on
+    the right-hand side, a fresh array per stage and np.linalg.norm.
+    Returns (times, states, norm_drift) for comparison with integrate."""
+    L = scipy_box_operator(params, box)
     delta, p = params.delta, params.p
 
     def rhs(u):
@@ -81,13 +93,13 @@ class TestReconstruct:
             if xi > 0:
                 per_site[n] = per_site.get(n, 0.0) + v
         for n, want in per_site.items():
-            assert field[box.index(n)] == pytest.approx(want)
+            assert field[box_index(box, n)] == pytest.approx(want)
 
     def test_single_mode_modulus_constant(self):
         sol = run_solver(reference_params(0.0, 0.0))
         for t in (0.0, 0.7, 13.9):
             box, field = reconstruct(sol, t)
-            assert abs(field[box.index((0,))]) == pytest.approx(1.5)
+            assert abs(field[box_index(box, (0,))]) == pytest.approx(1.5)
 
     def test_exact_periodicity(self):
         sol = run_solver(reference_params(0.0, 0.0))
@@ -138,11 +150,11 @@ class TestIntegrate:
         p = flat_potential_params(1e-3)
         box = LatticeBox(1, 20)
         u0 = np.zeros(box.shape, dtype=complex)
-        u0[box.index((0,))] = 1.0
+        u0[box_index(box, (0,))] = 1.0
         traj = integrate(u0, p, box, T=1.0, dt=1e-3, store_every=10 ** 9)
         ns = list(range(-20, 21))
         exact = free_lattice_single_site(1.0, 1e-3, ns)
-        got = np.array([traj.states[-1][box.index((n,))] for n in ns])
+        got = np.array([traj.states[-1][box_index(box, (n,))] for n in ns])
         assert np.max(np.abs(got - exact)) <= 1e-8
 
     def test_norm_conservation(self):
@@ -160,15 +172,15 @@ class TestIntegrate:
 
         def rhs(u):
             out = np.zeros_like(u)
-            for n in box.sites():
-                i = box.index(n)
+            for n in itertools.product(range(-2, 3), repeat=2):
+                i = box_index(box, n)
                 hop = 0.0
                 for j in range(2):
                     for step in (-1, 1):
                         m = list(n)
                         m[j] += step
-                        if box.contains(tuple(m)):
-                            hop += u[box.index(tuple(m))]
+                        if all(abs(c) <= box.R for c in m):
+                            hop += u[box_index(box, tuple(m))]
                 out[i] = 1j * (p.mu_n(n) * u[i] + p.epsilon * hop
                                + p.delta * abs(u[i]) ** 2 * u[i])
             return out
@@ -254,13 +266,17 @@ class TestIntegrateParity:
 
     @pytest.mark.parametrize("box", [LatticeBox(1, 10), LatticeBox(2, 4)])
     def test_csr_kernel_is_matmul(self, box):
-        # integrate calls scipy's private CSR kernel the way L @ x does
+        # integrate calls scipy's private CSR kernel the way csr_matrix @ x
+        # does, and so does the operator's own product
         params = reference_params() if box.d == 1 else d2_params()
         L = box_operator(params, box.R)
         x = random_field(box, 47).ravel()
-        y = np.zeros(L.shape[0], dtype=complex)
-        csr_matvec(L.shape[0], L.shape[1], L.indptr, L.indices, L.data, x, y)
-        assert np.array_equal(y, L @ x)
+        y = np.zeros(L.m, dtype=complex)
+        _scipy_extension(_SPARSETOOLS).csr_matvec(
+            L.m, L.m, L.indptr, L.indices, L.data, x, y)
+        want = scipy_box_operator(params, box) @ x
+        assert np.array_equal(y, want)
+        assert np.array_equal(L @ x, want)
 
 
 class TestVerify:
@@ -286,7 +302,7 @@ class TestTailMass:
     def test_counts_only_outside(self):
         box = LatticeBox(1, 3)
         u = np.zeros(box.shape, dtype=complex)
-        u[box.index((3,))] = 2.0
-        u[box.index((0,))] = 5.0
+        u[box_index(box, (3,))] = 2.0
+        u[box_index(box, (0,))] = 5.0
         assert tail_mass(u, box, 2) == pytest.approx(4.0)
         assert tail_mass(u, box, 3) == 0.0

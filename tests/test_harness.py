@@ -239,29 +239,33 @@ class TestCli:
         assert code == EXIT_OK
 
     def test_import_leaves_scipy_signal_out(self):
-        # scipy.signal would cost most of the import time of the CLI.
+        # scipy.signal would cost most of the import time of the CLI, and
+        # scipy.sparse, through SciPy's array-API layer, most of the rest.
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, qpnls.harness; "
-             "print('scipy.signal' in sys.modules)"],
+             "print('scipy.signal' in sys.modules, "
+             "'scipy.sparse' in sys.modules)"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     @pytest.mark.parametrize("command", ["regions", "solve", "all"])
     def test_command_leaves_linalg_out(self, tmp_path, command):
-        # The Newton solve loads SciPy's SuperLU extension by itself
-        # (solver._superlu), since scipy.sparse.linalg would load
-        # scipy.linalg too, and mpmath is imported only for an
-        # ill-conditioned Wronskian; no command should pay for any of them.
+        # The operators load SciPy's sparse kernels and SuperLU extension
+        # by themselves (linop._scipy_extension), since scipy.sparse would
+        # load SciPy's array-API layer and scipy.sparse.linalg all of
+        # scipy.linalg, and mpmath is imported only for an ill-conditioned
+        # Wronskian; no command should pay for any of them.
         args = [command, "--out", str(tmp_path)]
         code = ("import sys, qpnls.harness; "
                 f"code = qpnls.harness.main({args!r}); "
-                "print(code, 'scipy.sparse.linalg' in sys.modules, "
+                "print(code, 'scipy.sparse' in sys.modules, "
+                "'scipy.sparse.linalg' in sys.modules, "
                 "'scipy.linalg' in sys.modules, 'mpmath' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False False False"
+        assert proc.stdout.splitlines()[-1] == "0 False False False False"
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "qpnls.harness", "-h"],

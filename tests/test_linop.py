@@ -1,9 +1,13 @@
+import itertools
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import sparse
 
+from qpnls import linop
 from qpnls.lattice import Region, frozen_mode_sites, index_region
 from qpnls.linop import (LDEParams, SingularOperatorError, assemble_H,
                          diagonal_value, diagonal_values, green,
@@ -146,7 +150,86 @@ class TestAssembleH:
         assert np.abs(op.matrix - hand).max() <= 1e-14
         # The sparse builder stores the nonzeros only, no dense S block.
         H = lattice_operator(p, om, op.indexing, sigma, S)
-        assert H.nnz == np.count_nonzero(hand)
+        assert H.data.size == np.count_nonzero(hand)
+
+
+def newton_operator(params, N):
+    """The operator newton_step factors on the cube of size N, at the
+    initial state and its solved frequencies."""
+    from qpnls.solver import initial_state, linearization_coupling, solve_Q
+    state = initial_state(params)
+    idx = index_region(Region.cube(params.b + params.d, N), params.b,
+                       frozen_mode_sites(params.sites))
+    S = linearization_coupling(
+        state, params, itertools.product(range(-N, N + 1), repeat=params.d),
+        dk_radius=2 * N)
+    return lattice_operator(params, solve_Q(state, params), idx, 0.0, S)
+
+
+def assert_same_csr(ours, theirs):
+    for name in ("data", "indices", "indptr"):
+        want = getattr(theirs, name)
+        got = getattr(ours, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+class TestCSRKernels:
+    """The CSR holder runs SciPy's kernels in SciPy's order, so it must
+    equal scipy.sparse bitwise."""
+
+    @pytest.mark.parametrize("kind", ["duplicates", "canonical",
+                                      "empty-rows"])
+    def test_builder_equals_csr_matrix(self, kind):
+        rng = np.random.default_rng(53)
+        m = 7
+        if kind == "duplicates":  # repeated entries, columns unsorted
+            rows = rng.integers(0, m, 40)
+            cols = rng.integers(0, m, 40)
+        elif kind == "canonical":  # row-major, one entry per position
+            rows, cols = np.nonzero(rng.random((m, m)) < 0.4)
+        else:  # rows 0, 3 and 6 hold nothing; no duplicates, unsorted
+            rows, cols = np.divmod(rng.permutation(4 * m)[:12], m)
+            rows = np.array([1, 2, 4, 5])[rows]
+        vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(
+            rows.size)
+        want = sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+        # Only the first kind has duplicates to sum.
+        assert (want.nnz < rows.size) == (kind == "duplicates")
+        assert_same_csr(linop._coo_to_csr(m, rows, cols, vals), want)
+
+    @pytest.mark.parametrize("params, N", [
+        (reference_params(), 4),
+        (ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
+                     theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
+                     sites=((0,), (2,)), a=(1.5, 1.2)), 5),
+        (ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1),), v=(1.0,)),
+                     alpha=(0.4142135623, 0.7320508076), theta=(0.17, 0.05),
+                     epsilon=1e-3, delta=1e-3, p=1, sites=((0, 0),),
+                     a=(1.5,)), 2),
+    ], ids=["reference-N4", "b2-N5", "d2-N2"])
+    def test_newton_operator_equals_scipy(self, params, N, monkeypatch):
+        built = []
+        coo_to_csr = linop._coo_to_csr
+        monkeypatch.setattr(linop, "_coo_to_csr",
+                            lambda *args: built.append(args)
+                            or coo_to_csr(*args))
+        H = newton_operator(params, N)
+        m, rows, cols, vals = built[-1]
+        want = sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+        assert_same_csr(H, want)
+        data, indices, indptr = H.tocsc()
+        assert_same_csr(sparse.csc_matrix((data, indices, indptr),
+                                          shape=(m, m)), want.tocsc())
+        assert np.array_equal(H.toarray(), want.toarray())
+        x = [1, 1j] @ np.random.default_rng(59).standard_normal((2, m))
+        assert np.array_equal(H @ x, want @ x)
+
+
+def test_missing_extension_raises_import_error():
+    name = "scipy.sparse._no_such_extension"
+    with pytest.raises(ImportError, match=rf"{name} in \S+sparse$"):
+        linop._scipy_extension(name)
+    assert name not in sys.modules
 
 
 class TestGreen:

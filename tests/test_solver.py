@@ -10,7 +10,7 @@ import pytest
 from qpnls.lattice import Region, index_region, sup_norm
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
-from qpnls import solver
+from qpnls import linop, solver
 from qpnls.solver import (DivergedError, FourierState, _frequency_update,
                           anchor_sites,
                           certificates_for, convolution_nonlinearity,
@@ -377,6 +377,7 @@ class TestNewtonStep:
     def test_correction_bitwise_equals_public_splu(self, params, N):
         # newton_step calls SuperLU's gstrf itself; it must factor exactly
         # as the public splu with the same column order does.
+        from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
         from qpnls.lattice import frozen_mode_sites
         from qpnls.linop import lattice_operator
@@ -390,7 +391,8 @@ class TestNewtonStep:
             dk_radius=2 * N)
         A = lattice_operator(params, om, idx, 0.0, S).tocsc()
         rhs = solver._gather(evaluate_F(state, om, params), idx)
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+        lu = splu(csc_matrix(A, shape=(idx.m, idx.m)),
+                  permc_spec="MMD_AT_PLUS_A")
         new, _ = newton_step(state, om, params, N)
         # The initial state is zero off the frozen anchors.
         assert np.array_equal(-solver._gather(new, idx), lu.solve(rhs))
@@ -398,27 +400,36 @@ class TestNewtonStep:
         assert np.array_equal(solver._sparse_lu(A).solve(rhs, trans="H"),
                               lu.solve(rhs, trans="H"))
 
-    @pytest.mark.parametrize("public_first", [True, False],
-                             ids=["public-first", "solver-first"])
-    def test_superlu_module_shared_with_scipy(self, public_first):
-        # Whichever loads SciPy's SuperLU extension first, the solver and
-        # scipy.sparse.linalg hold one module object, initialised once, and
-        # the public splu still works after the solver has loaded it.
-        public = "import scipy.sparse.linalg as la"
-        solve = ("from qpnls import potential, solver; "
-                 "p = potential.reference_params(); "
-                 "s = solver.initial_state(p); "
-                 "solver.newton_step(s, solver.solve_Q(s, p), p, 2)")
+    @pytest.mark.parametrize("name, held_by_scipy, qpnls_first", [
+        (solver._SUPERLU, "la._dsolve.linsolve._superlu", False),
+        (solver._SUPERLU, "la._dsolve.linsolve._superlu", True),
+        (linop._SPARSETOOLS, "sp._compressed._sparsetools", False),
+        (linop._SPARSETOOLS, "sp._compressed._sparsetools", True),
+    ], ids=["superlu-scipy-first", "superlu-qpnls-first",
+            "sparsetools-scipy-first", "sparsetools-qpnls-first"])
+    def test_extension_module_shared_with_scipy(self, name, held_by_scipy,
+                                                qpnls_first):
+        # Whichever loads a SciPy extension first, qpnls and SciPy hold one
+        # module object, initialised once, and SciPy's CSR product and
+        # public splu still work after qpnls has loaded it.
+        scipy_side = "import scipy.sparse as sp, scipy.sparse.linalg as la"
+        qpnls_side = ("from qpnls import linop, potential, solver; "
+                      "p = potential.reference_params(); "
+                      "s = solver.initial_state(p); "
+                      "solver.newton_step(s, solver.solve_Q(s, p), p, 2)")
         code = "\n".join([
-            "import sys, numpy as np, scipy.sparse as sp",
-            *((public, solve) if public_first else (solve, public)),
-            "x = la.splu(sp.csc_array(np.diag([2.0, 4.0]))).solve(np.ones(2))",
-            "print(solver._superlu() is sys.modules[solver._SUPERLU] "
-            "is la._dsolve.linsolve._superlu, x.tolist())"])
+            "import sys, numpy as np",
+            *((qpnls_side, scipy_side) if qpnls_first
+              else (scipy_side, qpnls_side)),
+            "a = sp.csc_array(np.diag([2.0, 4.0]))",
+            "x = la.splu(a).solve(np.ones(2))",
+            "y = sp.csr_matrix(a) @ np.ones(2)",
+            f"print(linop._scipy_extension({name!r}) is sys.modules[{name!r}]"
+            f" is {held_by_scipy}, x.tolist(), y.tolist())"])
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "True [0.5, 0.25]"
+        assert proc.stdout.splitlines()[-1] == "True [0.5, 0.25] [2.0, 4.0]"
 
 
 class TestSymmetrize:

@@ -69,10 +69,14 @@ def integrate(u0: np.ndarray, params: ModelParams, box: LatticeBox,
 
     The right-hand side runs the box operator's CSR kernel on preallocated
     buffers, and the trajectory is bitwise the one ``L @ u`` gives.  ``u0``
-    must have the box's shape and ``store_every`` be at least 1.
+    must have the box's shape, ``store_every`` be at least 1, and T / dt
+    round to at least one step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise ValueError(f"T / dt = {T / dt:g} rounds to no RK4 step")
     if np.shape(u0) != box.shape:
         raise ValueError(f"u0 has shape {np.shape(u0)}, the box {box.shape}")
     if store_every < 1:
@@ -81,7 +85,6 @@ def integrate(u0: np.ndarray, params: ModelParams, box: LatticeBox,
     m = L.m
     csr_matvec = _scipy_extension(_SPARSETOOLS).csr_matvec
     delta, p = np.float64(params.delta), params.p
-    n_steps = int(round(T / dt))
     u = np.array(u0, dtype=complex)
     norm0 = np.linalg.norm(u)
     limit = 10.0 * max(norm0, 1e-300)

@@ -134,6 +134,10 @@ def validate_config(config: dict) -> potential.ModelParams:
         _check_field(config, section, key, integer, low, strict, optional)
     if config["ldt"]["sigma_min"] > config["ldt"]["sigma_max"]:
         raise ConfigError("ldt.sigma_min must not exceed ldt.sigma_max")
+    steps = config["evolve"]["T"] / config["evolve"]["dt"]
+    if not math.isfinite(steps) or round(steps) < 1:
+        raise ConfigError(f"evolve.T / evolve.dt = {steps:g}: expected a "
+                          f"finite number of RK4 steps, at least one")
     return params
 
 
@@ -296,16 +300,18 @@ def _solve_config_hash(config: dict) -> str:
 
 def stage_evolve(config: dict, out: Path) -> dict:
     """Verify the solution in the output directory, solving first when
-    there is none or it was solved from other params/solver sections."""
+    there is none or it was solved from other params/solver sections.
+    An unconverged solution fails, whichever stage wrote it."""
     path = out / "solution.json"
     record = json.loads(path.read_text()) if path.exists() else {}
+    outputs = []
     if record.get("solve_config_hash") != _solve_config_hash(config):
-        solve_info = stage_solve(config, out)
-        if solve_info["status"] != "pass":
-            return {"status": "fail", "outputs": solve_info["outputs"],
-                    "reason": "solution not converged"}
+        outputs = stage_solve(config, out)["outputs"]
         record = json.loads(path.read_text())
     sol = solver.solution_from_record(record)
+    if not sol.converged:
+        return {"status": "fail", "outputs": outputs,
+                "reason": "solution not converged"}
     ec = config["evolve"]
     report = evolve.verify(sol, T=float(ec["T"]), dt=float(ec["dt"]),
                            tail_radius=ec.get("tail_radius"))

@@ -194,19 +194,24 @@ def evaluate_F(state: FourierState, omega: Sequence[float],
 
     Plus-layer rows: (-k . omega + mu_n) u + eps (hopping in n) u
     + delta (u*v)^p * u; minus-layer rows are the conjugate mirror.
-    Evaluated on the box of the nonlinearity widened by one hopping step
-    in n, which holds every row the state or the nonlinearity reaches.
+    Returned on the nonlinearity's box, k radius (2p+1) Rk, widened by
+    one hopping step in n, which holds every row the state or the
+    nonlinearity reaches.  D and the hopping are diagonal in k, so their
+    operator is built on the state's own k box, with the same n range,
+    and its matvec is zero-padded: on the wide box each row beyond that
+    k box would be a sum of products with zero amplitudes, +0 exactly,
+    so the result is bitwise the same.
     """
     b, d = state.b, state.d
     nl = convolution_nonlinearity(state, params.p)
-    Rk, Rn = nl.radii
-    radii = (Rk,) * b + (Rn + 1,) * d
-    idx = index_region(Region.box([-r for r in radii], radii), b)
-    values = (lattice_operator(params, omega, idx)
-              @ recenter(state.amp, radii).ravel()
-              + params.delta * recenter(nl.amp, radii).ravel())
-    return FourierState(values.reshape(tuple(2 * r + 1 for r in radii)
-                                       + (2,)), b)
+    Rk, Rn = state.radii
+    own = (Rk,) * b + (Rn + 1,) * d
+    radii = (nl.radii[0],) * b + own[b:]
+    idx = index_region(Region.box([-r for r in own], own), b)
+    u = recenter(state.amp, own)
+    linear = lattice_operator(params, omega, idx) @ u.ravel()
+    return FourierState(recenter(linear.reshape(u.shape), radii)
+                        + params.delta * recenter(nl.amp, radii), b)
 
 
 def residual_sup(residual: FourierState) -> float:

@@ -209,6 +209,13 @@ class TestIntegrate:
             integrate(np.ones(3, dtype=complex), p, LatticeBox(1, 1), 1.0,
                       0.0)
 
+    @pytest.mark.parametrize("T, dt", [(10.0, 25.0), (1.0, 2.0), (0.0, 0.1)])
+    def test_dt_too_large_for_T(self, T, dt):
+        # round(T / dt) = 0 would integrate nothing and compare only t = 0
+        with pytest.raises(ValueError, match="no RK4 step"):
+            integrate(np.ones(3, dtype=complex), reference_params(),
+                      LatticeBox(1, 1), T, dt)
+
     @pytest.mark.parametrize("shape", [(7, 1), (6,), (8,), ()])
     def test_u0_must_have_box_shape(self, shape):
         # the right-hand side reads u0 by the box's site count unchecked

@@ -43,7 +43,8 @@ class TestConfig:
         "regions.N=0", "regions.r=1.5", "ldt.sigma_points=0",
         'ldt.M="two"', "ldt.sigma_min=3.0", "lde.norm_exp=0",
         "lde.gamma_target=-1", "lde.gamma_target=null", "solver.N_cap=0", "solver.tol=0",
-        "evolve.dt=0", "evolve.T=-1", "evolve=5", "dioph=5",
+        "evolve.dt=0", "evolve.T=-1", "evolve.dt=25",
+        "evolve.dt=1e-320", "evolve=5", "dioph=5",
         'dioph.threshold_exp="x"', "dioph.L=2.5", "dioph.C1_exp=0",
         "seed.x=1", 'seed="abc"', "seed=1.5", "seed=true"])
     def test_stage_sections_validated(self, override):
@@ -101,6 +102,24 @@ class TestStages:
                      "evolve.T=1.0", "--out", str(tmp_path)]) == EXIT_OK
         rec = json.loads((tmp_path / "solution.json").read_text())
         assert rec["params"]["epsilon"] == DEFAULT_CONFIG["params"]["epsilon"]
+
+    @pytest.mark.parametrize("solve_first", [False, True],
+                             ids=["fresh", "after-solve"])
+    def test_evolve_fails_unconverged_solution(self, tmp_path, solve_first):
+        # Newton on the N = 1 cube only (M = 1) leaves the default case
+        # unconverged; evolve fails whichever stage wrote solution.json
+        if solve_first:
+            assert main(["solve", "--set", "solver.M=1",
+                         "--out", str(tmp_path)]) == EXIT_ACCEPTANCE
+            rec = json.loads((tmp_path / "solution.json").read_text())
+            assert rec["stop_reason"] == "max_steps"
+        assert main(["evolve", "--set", "solver.M=1",
+                     "--out", str(tmp_path)]) == EXIT_ACCEPTANCE
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        info = manifest["stages"]["evolve"]
+        assert info["status"] == "fail"
+        assert info["reason"] == "solution not converged"
+        assert not (tmp_path / "evolve_summary.json").exists()
 
     def test_all_solves_once(self, tmp_path, monkeypatch):
         calls = []
@@ -166,9 +185,10 @@ class TestCli:
         ("solve", ["params.V.d=1.5"]),
         ("solve", ["params.V.K=true"]),
         ("solve", ["params.V.terms=[{\"l\": [1.5], \"v\": 1.0}]"]),
+        ("evolve", ["evolve.dt=25"]),
     ], ids=["no-sites", "no-sites-dioph", "alpha-nan", "theta-inf", "a-nan",
             "p-fraction", "p-bool", "site-fraction", "V-d-fraction",
-            "V-K-bool", "term-l-fraction"])
+            "V-K-bool", "term-l-fraction", "dt-above-T"])
     def test_model_params_exit_code(self, tmp_path, capsys, command,
                                     overrides):
         args = [command, "--out", str(tmp_path)]

@@ -115,13 +115,21 @@ class TestRegionBasics:
                     assert reg.size() == len(reg.sites())
 
     def test_contains_array_agrees_with_contains(self):
-        reg = Region((-1, -3), (3, 1), sign_cuts=(">", "<"),
-                     cut_origin=(1, -1))
         pts = list(itertools.product(range(-4, 5), repeat=2))
-        mask = reg.contains_array(np.asarray(pts))
-        for p, m in zip(pts, mask):
-            assert bool(m) == bool(reg.contains_array([p])[0]) \
-                == member(reg, p)
+        for reg in (
+                Region((-1, -3), (3, 1), sign_cuts=(">", "<"),
+                       cut_origin=(1, -1)),
+                Region((-1, -3), (3, 1)),
+                # the cut removes nothing: every point has x_0 <= 3
+                Region((-1, -3), (3, 1), sign_cuts=(">", None),
+                       cut_origin=(3, 0))):
+            mask = reg.contains_array(np.asarray(pts))
+            assert mask.dtype == bool and mask.shape == (len(pts),)
+            for p, m in zip(pts, mask):
+                assert bool(m) == bool(reg.contains_array([p])[0]) \
+                    == member(reg, p)
+            for same in (np.asarray(pts, dtype=np.int32), pts):
+                assert reg.contains_array(same).tolist() == mask.tolist()
 
     def test_points_match_hand_membership(self):
         regs = enumerate_elementary_regions(3, 2)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qpnls.lattice import Region, index_region, sup_norm
+from qpnls.lattice import Region, index_region, recenter, sup_norm
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 from qpnls import linop, solver
@@ -56,6 +56,40 @@ def d2_params():
                        alpha=(0.4142135623, 0.7320508076), theta=(0.17, 0.05),
                        epsilon=1e-3, delta=1e-3, p=1, sites=((0, 0),),
                        a=(1.5,))
+
+
+def wide_box_residual(state, omega, params):
+    """evaluate_F with its operator built on the whole residual box, the
+    nonlinearity's k radius widened by one hop in n: the oracle for the
+    residual built on the state's own k box."""
+    b, d = state.b, state.d
+    nl = convolution_nonlinearity(state, params.p)
+    Rk, Rn = nl.radii
+    radii = (Rk,) * b + (Rn + 1,) * d
+    idx = index_region(Region.box([-r for r in radii], radii), b)
+    values = (linop.lattice_operator(params, omega, idx)
+              @ recenter(state.amp, radii).ravel()
+              + params.delta * recenter(nl.amp, radii).ravel())
+    return FourierState(values.reshape(tuple(2 * r + 1 for r in radii)
+                                       + (2,)), b)
+
+
+def assert_bitwise_equal(a, b):
+    """Same shape, values and sign bits, real and imaginary parts."""
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(float), b.view(float))
+    assert np.array_equal(np.signbit(a.view(float)),
+                          np.signbit(b.view(float)))
+
+
+# (params, N_cap): the reference case, b = 2, d = 2, and p = 2 at a
+# stronger coupling.
+PARITY_CASES = [
+    (reference_params(), 16),
+    (b2_params(), 5),
+    (d2_params(), 4),
+    (dataclasses.replace(reference_params(0.03, 0.03), p=2), 16),
+]
 
 
 def reference_loop(params, M=2, r_max=10, tol=1e-11, N_cap=16):
@@ -212,6 +246,54 @@ class TestEvaluateF:
         assert set(want) <= set(res.coeffs)
         for site, val in res.coeffs.items():
             assert val == pytest.approx(want.get(site, 0.0), abs=1e-14)
+
+    @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
+                             ids=["reference", "b2", "d2", "p2"])
+    def test_bitwise_equals_wide_box_residual(self, monkeypatch, params,
+                                              N_cap):
+        # Every residual of a run, the frequency solves' included, is
+        # bitwise the one the operator on the nonlinearity's box gives.
+        seen = []
+
+        def checked(state, omega, params):
+            out = evaluate_F(state, omega, params)
+            assert_bitwise_equal(out.amp,
+                                 wide_box_residual(state, omega, params).amp)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(solver, "evaluate_F", checked)
+        run_solver(params, N_cap=N_cap)
+        assert len(seen) >= 6
+
+    @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
+                             ids=["reference", "b2", "d2", "p2"])
+    def test_bitwise_after_one_newton_step(self, params, N_cap):
+        state = initial_state(params)
+        om = solve_Q(state, params)
+        state, _ = newton_step(state, om, params, min(2, N_cap))
+        for s in (state, symmetrize(state)):
+            assert_bitwise_equal(evaluate_F(s, om, params).amp,
+                                 wide_box_residual(s, om, params).amp)
+
+    def test_operator_built_on_state_k_box(self, monkeypatch):
+        # D and the hopping are diagonal in k, so the residual's operator
+        # needs only the state's k box, widened by one hop in n.
+        p = b2_params()
+        sol = run_solver(p, N_cap=5)
+        rows = []
+
+        def recording(params, omega, idx, *args):
+            rows.append(idx.m)
+            return linop.lattice_operator(params, omega, idx, *args)
+
+        monkeypatch.setattr(solver, "lattice_operator", recording)
+        for state in (initial_state(p), sol.state):
+            rows.clear()
+            evaluate_F(state, sol.omega, p)
+            Rk, Rn = state.radii
+            assert rows and max(rows) <= ((2 * Rk + 1) ** p.b
+                                          * (2 * Rn + 3) ** p.d * 2)
 
 
 class TestSolveQ:

@@ -41,7 +41,7 @@ def reconstruct(solution: Solution, t: float,
     Rk, Rn = state.radii
     k = np.indices((2 * Rk + 1,) * state.b).reshape(state.b, -1).T - Rk
     phase = np.exp(1j * (k @ np.asarray(solution.omega, dtype=float)) * t)
-    field = phase @ state.amp[..., 0].reshape(phase.size, -1)
+    field = phase @ state.amp.reshape(phase.size, -1)
     return box, recenter(field.reshape((2 * Rn + 1,) * state.d),
                          (box.R,) * box.d)
 
@@ -81,7 +81,7 @@ def integrate(u0: np.ndarray, params: ModelParams, box: LatticeBox,
         raise ValueError(f"u0 has shape {np.shape(u0)}, the box {box.shape}")
     if store_every < 1:
         raise ValueError("store_every must be at least 1")
-    L = box_operator(params, box.R)
+    L = box_operator(params, (), (box.R,) * box.d)
     m = L.m
     csr_matvec = _scipy_extension(_SPARSETOOLS).csr_matvec
     delta, p = np.float64(params.delta), params.p

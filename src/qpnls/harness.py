@@ -300,12 +300,16 @@ def _solve_config_hash(config: dict) -> str:
 
 def stage_evolve(config: dict, out: Path) -> dict:
     """Verify the solution in the output directory, solving first when
-    there is none or it was solved from other params/solver sections.
-    An unconverged solution fails, whichever stage wrote it."""
+    there is no readable one or it was solved from other params/solver
+    sections.  An unconverged solution fails, whichever stage wrote it."""
     path = out / "solution.json"
-    record = json.loads(path.read_text()) if path.exists() else {}
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError):  # absent, unreadable or not JSON
+        record = None
     outputs = []
-    if record.get("solve_config_hash") != _solve_config_hash(config):
+    if (not isinstance(record, dict) or record.get("solve_config_hash")
+            != _solve_config_hash(config)):
         outputs = stage_solve(config, out)["outputs"]
         record = json.loads(path.read_text())
     sol = solver.solution_from_record(record)

@@ -233,13 +233,14 @@ def lattice_operator(params: ModelParams, omega: Sequence[float],
     return _coo_to_csr(m, rows, cols, vals.astype(complex))
 
 
-def box_operator(params: ModelParams, R: int) -> CSR:
-    """The single-particle operator mu_n + epsilon * hopping on the box
-    [-R, R]^d, sites in row-major order: the + layer with k = () and
-    sigma = 0."""
-    pts = Region.cube(params.d, R).points()
+def box_operator(params: ModelParams, omega: Sequence[float],
+                 radii: Sequence[int]) -> CSR:
+    """D + epsilon * hopping on the + layer of the box centered at the
+    origin with the given radii, sites in C order, with sigma = 0 and
+    b = len(omega) k axes (none for the time-domain operator)."""
+    pts = Region.box([-r for r in radii], radii).points()
     plus = np.ones(pts.shape[0], dtype=np.int64)
-    return lattice_operator(params, (), Indexing(pts, plus, 0))
+    return lattice_operator(params, omega, Indexing(pts, plus, len(omega)))
 
 
 def assemble_H(params: ModelParams, omega: Sequence[float], region: Region,

@@ -1,7 +1,7 @@
 """Construction of quasi-periodic localized states.
 
-The unknown is a table of Fourier amplitudes u_hat(k, n) on the layered
-lattice, with the minus layer tied to the plus layer by conjugacy.  The
+The unknown is the table of plus-layer Fourier amplitudes u_hat(k, n);
+the minus layer of the layered lattice is its conjugate mirror.  The
 frequency vector omega is solved from the finitely many equations at the
 excited sites, and the remaining equations are solved by Newton steps on
 growing regions.  All nonlinear terms are convolutions in k at fixed n.
@@ -19,7 +19,8 @@ import numpy as np
 from .lattice import (Indexing, Region, Site, box_sup_norms,
                       frozen_mode_sites, index_region, index_sites, recenter,
                       sup_norm)
-from .linop import SingularOperatorError, _scipy_extension, lattice_operator
+from .linop import (SingularOperatorError, _scipy_extension, box_operator,
+                    lattice_operator)
 from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
@@ -40,12 +41,11 @@ _SVD_MAX_M = 3000
 
 @dataclass(frozen=True, eq=False)
 class FourierState:
-    """Fourier amplitudes on a layered box centered at the origin.
+    """Plus-layer Fourier amplitudes u(k, n) on a centered box.
 
-    amp has shape (2Rk+1,)*b + (2Rn+1,)*d + (2,): k axes, n axes, then the
-    layer axis with + first, so its C order is index_region's site order
-    on the box.  The minus layer mirrors the plus layer through conjugacy
-    (coefficient at (k, n, -) equals the conjugate at (-k, n, +)).  The
+    amp has shape (2Rk+1,)*b + (2Rn+1,)*d: k axes, then n axes.  The
+    minus layer is not stored: its coefficient at (k, n, -) is the
+    conjugate of the one at (-k, n, +), and `layered` derives it.  The
     anchor amplitudes at the excited sites are written by from_coeffs;
     Newton never corrects them and symmetrize maps them to themselves.
     """
@@ -56,25 +56,23 @@ class FourierState:
     @classmethod
     def from_coeffs(cls, coeffs: dict, b: int, d: int,
                     anchors: dict) -> "FourierState":
-        """State from a {(k, n, xi): value} map plus the plus-layer anchors
-        and their conjugate mirrors, on the smallest box that holds them."""
-        values = dict(coeffs)
-        for (k, n, xi), value in anchors.items():
-            values[(k, n, xi)] = value
-            values[(tuple(-c for c in k), n, -xi)] = np.conj(value)
+        """State from plus-layer {(k, n, 1): value} maps on the smallest
+        box that holds them; a minus-layer key raises ValueError."""
+        values = {**coeffs, **anchors}
+        if any(xi != 1 for _, _, xi in values):
+            raise ValueError("the minus layer is derived, not stored")
         Rk, Rn = (max((sup_norm(s[j]) for s in values), default=0)
                   for j in (0, 1))
-        amp = np.zeros((2 * Rk + 1,) * b + (2 * Rn + 1,) * d + (2,),
-                       dtype=complex)
+        amp = np.zeros((2 * Rk + 1,) * b + (2 * Rn + 1,) * d, dtype=complex)
         if values:
             idx = index_sites(values)
-            amp[_box_at(idx, (Rk,) * b + (Rn,) * d)] = \
+            amp[_box_at(idx, (Rk,) * b + (Rn,) * d)[:-1]] = \
                 [values[site] for site in idx.sites]
         return cls(amp, b)
 
     @property
     def d(self) -> int:
-        return self.amp.ndim - self.b - 1
+        return self.amp.ndim - self.b
 
     @property
     def radii(self) -> tuple[int, int]:
@@ -83,32 +81,35 @@ class FourierState:
         return (shape[0] - 1) // 2 if self.b else 0, (shape[self.b] - 1) // 2
 
     @property
+    def layered(self) -> np.ndarray:
+        """Both layers, in index_region's site order on the box: u, then
+        the derived v(k, n) = conj u(-k, n), on a last layer axis."""
+        return np.stack([self.amp, _mirror(self.amp, self.b)], -1)
+
+    @property
     def coeffs(self) -> dict:
-        """The nonzero amplitudes as {(k, n, xi): value}, in box order."""
+        """The nonzero amplitudes of both layers as {(k, n, xi): value},
+        in box order with + before -."""
         Rk, Rn = self.radii
-        nz = np.argwhere(self.amp)
+        layered = self.layered
+        nz = np.argwhere(layered)
         return {(tuple(c - Rk for c in row[:self.b]),
                  tuple(c - Rn for c in row[self.b:-1]), 1 - 2 * row[-1]): value
                 for row, value in zip(nz.tolist(),
-                                      self.amp[tuple(nz.T)].tolist())}
+                                      layered[tuple(nz.T)].tolist())}
 
     def get(self, site: Site) -> complex:
         return complex(_gather(self, index_sites([site]))[0])
 
     def support_radius(self) -> int:
         """Largest sup norm of (k, n) over the nonzero amplitudes."""
-        center = (np.array(self.amp.shape[:-1]) - 1) // 2
-        return int(np.abs(np.argwhere(self.amp)[:, :-1] - center)
-                   .max(initial=0))
-
-    def conjugacy_defect(self) -> float:
-        u, v = self.amp[..., 0], self.amp[..., 1]
-        return float(np.abs(u - np.conj(_flip_k(v, self.b))).max(initial=0.0))
+        center = (np.array(self.amp.shape) - 1) // 2
+        return int(np.abs(np.argwhere(self.amp) - center).max(initial=0))
 
 
-def _flip_k(arr: np.ndarray, b: int) -> np.ndarray:
-    """k -> -k on an array whose first b axes are centered k axes."""
-    return np.flip(arr, axis=tuple(range(b)))
+def _mirror(arr: np.ndarray, b: int) -> np.ndarray:
+    """conj arr(-k, n), k the first b axes: the other layer's values."""
+    return np.conj(np.flip(arr, axis=tuple(range(b))))
 
 
 def _box_at(idx: Indexing, radii: Sequence[int]) -> tuple:
@@ -120,7 +121,7 @@ def _box_at(idx: Indexing, radii: Sequence[int]) -> tuple:
 def _gather(state: FourierState, idx: Indexing) -> np.ndarray:
     """Amplitudes at the indexed sites, zero outside the state's box."""
     radii = np.abs(idx.positions).max(axis=0)
-    return recenter(state.amp, radii)[_box_at(idx, radii)]
+    return recenter(state.layered, radii)[_box_at(idx, radii)]
 
 
 def anchor_sites(params: ModelParams) -> dict:
@@ -138,13 +139,12 @@ def initial_state(params: ModelParams) -> FourierState:
                                     anchor_sites(params))
 
 
-def symmetrize(state: FourierState) -> FourierState:
-    """Project onto the conjugacy-symmetric subspace by averaging the two
-    determinations of each coefficient.  Idempotent."""
-    u, v = state.amp[..., 0], state.amp[..., 1]
-    avg = 0.5 * (u + np.conj(_flip_k(v, state.b)))
-    return FourierState(np.stack([avg, np.conj(_flip_k(avg, state.b))], -1),
-                        state.b)
+def symmetrize(layered: np.ndarray, b: int) -> FourierState:
+    """Fold a layered box array (k axes, n axes, then + before -) onto
+    the plus layer by averaging the two determinations of each
+    coefficient, u and the conjugate mirror of v."""
+    u, v = layered[..., 0], layered[..., 1]
+    return FourierState(0.5 * (u + _mirror(v, b)), b)
 
 
 # -- convolutions in k at fixed n --------------------------------------
@@ -175,14 +175,14 @@ def _uv_powers(u: np.ndarray, v: np.ndarray, b: int,
 
 
 def convolution_nonlinearity(state: FourierState, p: int) -> FourierState:
-    """Nonlinear terms per layer: (u*v)^p * u on the plus layer and
-    (u*v)^p * v on the minus layer, convolving in k at each fixed n.
+    """The plus layer's nonlinear term (u*v)^p * u, convolving in k at
+    each fixed n; the minus layer's (u*v)^p * v is its conjugate mirror.
 
     The result lives on the state's n box and k radius (2p+1) Rk.
     """
     b = state.b
-    w = _uv_powers(state.amp[..., 0], state.amp[..., 1], b, p)[-1]
-    return FourierState(_conv(state.amp, w[..., None], b), b)
+    w = _uv_powers(state.amp, _mirror(state.amp, b), b, p)[-1]
+    return FourierState(_conv(state.amp, w, b), b)
 
 
 # -- residual ----------------------------------------------------------
@@ -190,26 +190,22 @@ def convolution_nonlinearity(state: FourierState, p: int) -> FourierState:
 
 def evaluate_F(state: FourierState, omega: Sequence[float],
                params: ModelParams) -> FourierState:
-    """Residual of the lattice equations at the current state.
-
-    Plus-layer rows: (-k . omega + mu_n) u + eps (hopping in n) u
-    + delta (u*v)^p * u; minus-layer rows are the conjugate mirror.
-    Returned on the nonlinearity's box, k radius (2p+1) Rk, widened by
-    one hopping step in n, which holds every row the state or the
-    nonlinearity reaches.  D and the hopping are diagonal in k, so their
-    operator is built on the state's own k box, with the same n range,
-    and its matvec is zero-padded: on the wide box each row beyond that
-    k box would be a sum of products with zero amplitudes, +0 exactly,
-    so the result is bitwise the same.
+    """Residual of the plus-layer lattice equations at the current state,
+    (-k . omega + mu_n) u + eps (hopping in n) u + delta (u*v)^p * u; the
+    minus-layer rows are its conjugate mirror.  Returned on the
+    nonlinearity's box, k radius (2p+1) Rk, widened by one hopping step
+    in n, which holds every row the state or the nonlinearity reaches.
+    D and the hopping are diagonal in k, so box_operator builds them on
+    the state's own k box and the matvec is zero-padded: each row beyond
+    that k box would be +0 exactly.
     """
     b, d = state.b, state.d
     nl = convolution_nonlinearity(state, params.p)
     Rk, Rn = state.radii
     own = (Rk,) * b + (Rn + 1,) * d
     radii = (nl.radii[0],) * b + own[b:]
-    idx = index_region(Region.box([-r for r in own], own), b)
     u = recenter(state.amp, own)
-    linear = lattice_operator(params, omega, idx) @ u.ravel()
+    linear = box_operator(params, omega, own) @ u.ravel()
     return FourierState(recenter(linear.reshape(u.shape), radii)
                         + params.delta * recenter(nl.amp, radii), b)
 
@@ -249,7 +245,7 @@ def linearization_coupling(state: FourierState, params: ModelParams,
     carry p (u*v)^(p-1) * u * u and its conjugate mirror.
     """
     p, b = params.p, state.b
-    u, v = state.amp[..., 0], state.amp[..., 1]
+    u, v = state.amp, _mirror(state.amp, b)
     powers = _uv_powers(u, v, b, p)
     uu, vv = _conv(u, u, b), _conv(v, v, b)
     if p >= 2:
@@ -302,9 +298,10 @@ def newton_step(state: FourierState, omega: Sequence[float],
     coupling) as a sparse matrix on the layered cube minus the excited
     set, factors it with a sparse LU (SuperLU with a minimum-degree order
     on A^T + A, called through _sparse_lu), solves for the correction
-    against the current residual, and subtracts it.  No dense m x m array
-    is built, except for the SVD that reports the smallest singular value
-    of an exactly singular operator with at most _SVD_MAX_M unknowns; a
+    against the current residual, subtracts it from both layers and folds
+    them onto the plus layer with symmetrize.  No dense m x m array is
+    built, except for the SVD that reports the smallest singular value of
+    an exactly singular operator with at most _SVD_MAX_M unknowns; a
     larger one raises SingularOperatorError with nan.
     """
     b, d = params.b, params.d
@@ -328,10 +325,10 @@ def newton_step(state: FourierState, omega: Sequence[float],
         raise SingularOperatorError(message, smin) from exc
     Rk, Rn = state.radii
     radii = (max(Rk, N),) * b + (max(Rn, N),) * d
-    amp = recenter(state.amp, radii)
-    amp[_box_at(idx, radii)] -= delta
+    layered = recenter(state.layered, radii)
+    layered[_box_at(idx, radii)] -= delta
     corr = float(np.max(np.abs(delta))) if delta.size else 0.0
-    return FourierState(amp, b), corr
+    return symmetrize(layered, b), corr
 
 
 # -- full run ----------------------------------------------------------
@@ -378,10 +375,9 @@ def decay_sum(state: FourierState, params: ModelParams) -> float:
     """Weighted amplitude sum over the plus layer away from the anchors:
     sum |u(k, n)| exp(|k| + |n|)."""
     Rk, Rn = state.radii
-    at = _box_at(index_sites(anchor_sites(params)),
-                 (Rk,) * state.b + (Rn,) * state.d)
-    plus = np.abs(state.amp[..., 0])
-    plus[at[:-1]] = 0.0  # the anchors lie on the plus layer
+    plus = np.abs(state.amp)
+    plus[_box_at(index_sites(anchor_sites(params)),
+                 (Rk,) * state.b + (Rn,) * state.d)[:-1]] = 0.0
     weight = np.exp(np.add.outer(box_sup_norms(Rk, state.b),
                                  box_sup_norms(Rn, state.d)))
     return float(np.sum(plus * weight))
@@ -394,7 +390,7 @@ def certificates_for(state: FourierState, omega: Sequence[float],
     return Certificates(
         residual=res,
         decay_sum=decay_sum(state, params),
-        conjugacy_defect=state.conjugacy_defect(),
+        conjugacy_defect=0.0,  # the minus layer is the mirror itself
         omega_shift=float(np.max(np.abs(np.asarray(omega) - omega0))),
     )
 
@@ -411,9 +407,8 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
     until the residual is below tol, with the frequencies solved from
     each state before the next step.
 
-    The state is re-symmetrized after every correction; divergence
-    (residual growth beyond round-off on two consecutive steps) aborts
-    with the trace.
+    Divergence (residual growth beyond round-off on two consecutive
+    steps) aborts with the trace.
     """
     state = initial_state(params)
     omega = solve_Q(state, params)
@@ -426,14 +421,13 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
         N = min(M ** (r + 1), N_cap)
         prev_res = res
         state, corr = newton_step(state, omega, params, N)
-        state = symmetrize(state)
         F = evaluate_F(state, omega, params)
         res = residual_sup(F)
         anchor_err = max(abs(state.get(s) - v)
                          for s, v in anchor_sites(params).items())
         steps.append({"r": r, "N": N, "residual": res, "correction": corr,
                       "omega": tuple(float(x) for x in omega),
-                      "conjugacy_defect": state.conjugacy_defect(),
+                      "conjugacy_defect": 0.0,
                       "anchor_error": float(anchor_err)})
         if not (math.isfinite(res) and math.isfinite(corr)):
             raise DivergedError("non-finite residual or correction",
@@ -477,8 +471,9 @@ def solution_to_record(sol: Solution) -> dict:
 def solution_from_record(rec: dict) -> Solution:
     params = ModelParams.from_record(rec["params"])
     coeffs = {(tuple(int(c) for c in row["k"]),
-               tuple(int(c) for c in row["n"]), int(row["xi"])):
-              complex(row["re"], row["im"]) for row in rec["coeffs"]}
+               tuple(int(c) for c in row["n"]), 1):
+              complex(row["re"], row["im"])
+              for row in rec["coeffs"] if int(row["xi"]) > 0}
     state = FourierState.from_coeffs(coeffs, params.b, params.d,
                                      anchor_sites(params))
     return Solution(state, tuple(float(x) for x in rec["omega"]), params,

@@ -41,7 +41,7 @@ def box_index(box, n):
 def scipy_box_operator(params, box):
     """The box operator as SciPy's own csr_matrix, the oracle of the CSR
     kernel path."""
-    L = box_operator(params, box.R)
+    L = box_operator(params, (), (box.R,) * box.d)
     return csr_matrix((L.data, L.indices, L.indptr), shape=(L.m, L.m))
 
 
@@ -276,7 +276,7 @@ class TestIntegrateParity:
         # integrate calls scipy's private CSR kernel the way csr_matrix @ x
         # does, and so does the operator's own product
         params = reference_params() if box.d == 1 else d2_params()
-        L = box_operator(params, box.R)
+        L = box_operator(params, (), (box.R,) * box.d)
         x = random_field(box, 47).ravel()
         y = np.zeros(L.m, dtype=complex)
         _scipy_extension(_SPARSETOOLS).csr_matvec(

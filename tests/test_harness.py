@@ -103,6 +103,19 @@ class TestStages:
         rec = json.loads((tmp_path / "solution.json").read_text())
         assert rec["params"]["epsilon"] == DEFAULT_CONFIG["params"]["epsilon"]
 
+    @pytest.mark.parametrize("content", ["{not json", "[]"],
+                             ids=["not-json", "not-an-object"])
+    def test_evolve_resolves_unreadable_solution(self, tmp_path, capsys,
+                                                 content):
+        # a solution.json that holds no JSON object counts as absent
+        path = tmp_path / "solution.json"
+        path.write_text(content)
+        assert main(["evolve", "--set", "solver.N_cap=8", "--set",
+                     "evolve.T=1.0", "--out", str(tmp_path)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["stages"] == {"evolve": "pass"}
+        assert json.loads(path.read_text())["stop_reason"] == "converged"
+
     @pytest.mark.parametrize("solve_first", [False, True],
                              ids=["fresh", "after-solve"])
     def test_evolve_fails_unconverged_solution(self, tmp_path, solve_first):

@@ -34,16 +34,21 @@ def test_no_unused_module_imports(path):
 ROOT = SRC.parents[1]
 
 
-def names_in(node: ast.AST) -> set[str]:
-    """Every name, attribute and imported name under an AST node."""
-    out = set()
-    for n in ast.walk(node):
+def names_in(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name, attribute and imported name under an AST node, leaving
+    out the subtree at skip."""
+    out, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if n is skip:
+            continue
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name.split(".")[-1])
+        todo.extend(ast.iter_child_nodes(n))
     return out
 
 
@@ -58,10 +63,25 @@ def spanned_names() -> set[str]:
             for part in str(n.value).split(".")}
 
 
+def definitions(tree: ast.Module):
+    """(label, node) of a module's top-level functions and classes, and of
+    the non-dunder methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreached_definitions() -> list[str]:
-    """Top-level functions and classes of src/qpnls (outside __init__.py)
-    that no other module of src/, no other part of their own module, no
-    demo, no perfbench file and no acceptance test names."""
+    """Top-level functions and classes of src/qpnls (outside __init__.py),
+    and their classes' non-dunder methods, that no other module of src/,
+    no other part of their own module, no demo, no perfbench file and no
+    acceptance test names."""
     users = [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"),
              ROOT / "tests" / "test_acceptance.py"]
     outside = spanned_names().union(*(names_in(ast.parse(p.read_text()))
@@ -72,18 +92,28 @@ def unreached_definitions() -> list[str]:
     for name, tree in sorted(modules.items()):
         others = outside.union(*(names_in(t) for o, t in modules.items()
                                  if o != name))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = set().union(*(names_in(s) for s in tree.body
-                                    if s is not node))
-                if node.name not in others | own:
-                    unreached.append(f"{name}:{node.name}")
+        for label, node in definitions(tree):
+            if node.name not in others | names_in(tree, skip=node):
+                unreached.append(f"{name}:{label}")
     return unreached
 
 
 def test_names_in_counts_names_attributes_and_imports():
     tree = ast.parse("from m import f\nimport a.b\ng(x.h)\n")
     assert names_in(tree) >= {"f", "b", "g", "x", "h"}
+
+
+def test_definitions_include_methods_but_not_dunders():
+    tree = ast.parse("def f(): pass\nclass C:\n    def __init__(self): pass\n"
+                     "    def g(self): pass\n    x = 1\n")
+    assert [label for label, _ in definitions(tree)] == ["f", "C", "C.g"]
+
+
+def test_names_in_skips_a_subtree():
+    tree = ast.parse("class C:\n    def g(self): return self.h()\n"
+                     "    def h(self): return self.g()\n")
+    g = tree.body[0].body[0]
+    assert "h" not in names_in(tree, skip=g) and "g" in names_in(tree, skip=g)
 
 
 def test_library_definitions_are_reached():

@@ -10,7 +10,7 @@ from scipy import sparse
 from qpnls import linop
 from qpnls.lattice import Region, frozen_mode_sites, index_region
 from qpnls.linop import (LDEParams, SingularOperatorError, assemble_H,
-                         diagonal_value, diagonal_values, green,
+                         box_operator, diagonal_value, diagonal_values, green,
                          lattice_operator, lde_region_family, operator_norm,
                          perturbation_stability, schur_green, sigma_sweep)
 from qpnls.linop import _lattice_decay_sum, _sweep_region
@@ -116,8 +116,7 @@ class TestAssembleH:
         assert D[i, j] == pytest.approx(p.delta * 0.25)
 
     def test_b2_coupling_per_entry_oracle(self):
-        from qpnls.solver import (FourierState, linearization_coupling,
-                                  symmetrize)
+        from qpnls.solver import FourierState, linearization_coupling
         p = ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
                         theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
                         sites=((0,), (2,)), a=(1.5, 1.2))
@@ -128,7 +127,7 @@ class TestAssembleH:
             k = tuple(int(c) for c in rng.integers(-2, 3, 2))
             n = (int(rng.integers(-2, 3)),)
             coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * 0.1
-        state = symmetrize(FourierState.from_coeffs(coeffs, 2, 1, {}))
+        state = FourierState.from_coeffs(coeffs, 2, 1, {})
         region = Region.cube(3, 2)
         S = linearization_coupling(state, p, {y[2:] for y in region.sites()},
                                    dk_radius=3)
@@ -223,6 +222,51 @@ class TestCSRKernels:
         assert np.array_equal(H.toarray(), want.toarray())
         x = [1, 1j] @ np.random.default_rng(59).standard_normal((2, m))
         assert np.array_equal(H @ x, want @ x)
+
+
+B2_PARAMS = ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
+                        theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
+                        sites=((0,), (2,)), a=(1.5, 1.2))
+D2_PARAMS = ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1),), v=(1.0,)),
+                        alpha=(0.4142135623, 0.7320508076),
+                        theta=(0.17, 0.05), epsilon=1e-3, delta=1e-3, p=1,
+                        sites=((0, 0),), a=(1.5,))
+
+
+class TestBoxOperator:
+    """box_operator is the one plus-layer operator of the residual and of
+    the time-domain right-hand side."""
+
+    @pytest.mark.parametrize("params, radii", [
+        (reference_params(), (3, 2)),
+        (B2_PARAMS, (1, 2, 3)),
+        (D2_PARAMS, (2, 1, 2)),
+    ], ids=["reference", "b2", "d2"])
+    def test_plus_block_of_layered_operator(self, params, radii):
+        # The same entries in the same column order as the plus rows of
+        # the layered operator on the box, which reach no minus column, so
+        # its product is bitwise theirs.
+        om = base_frequencies(params) + 1e-3
+        idx = index_region(Region.box([-r for r in radii], radii), params.b)
+        layered = lattice_operator(params, om, idx)
+        plus = idx.layers > 0
+        got = box_operator(params, om, radii)
+        dense = layered.toarray()
+        assert np.array_equal(got.toarray(), dense[np.ix_(plus, plus)])
+        assert not dense[np.ix_(plus, ~plus)].any()
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal(idx.m) + 1j * rng.standard_normal(idx.m)
+        assert np.array_equal(got @ x[plus], (layered @ x)[plus])
+
+    def test_time_domain_operator(self):
+        # With no k axes: mu_n + epsilon * hopping on the n box.
+        p = reference_params()
+        R = 3
+        n = np.arange(-R, R + 1)
+        want = (np.diag(p.mu_values(n[:, None]))
+                + p.epsilon * (np.eye(2 * R + 1, k=1)
+                               + np.eye(2 * R + 1, k=-1)))
+        assert np.array_equal(box_operator(p, (), (R,)).toarray(), want)
 
 
 def test_missing_extension_raises_import_error():

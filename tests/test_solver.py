@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -58,25 +59,47 @@ def d2_params():
                        a=(1.5,))
 
 
-def wide_box_residual(state, omega, params):
-    """evaluate_F with its operator built on the whole residual box, the
-    nonlinearity's k radius widened by one hop in n: the oracle for the
-    residual built on the state's own k box."""
+def layered_residual(state, omega, params):
+    """The residual of both layers, layer axis last, as the layered state
+    gave it: the nonlinearity (u*v)^p * u and (u*v)^p * v per layer, and
+    the layered operator on the whole residual box, the nonlinearity's k
+    radius widened by one hop in n.  The oracle for the plus-layer
+    residual and its derived minus layer."""
     b, d = state.b, state.d
-    nl = convolution_nonlinearity(state, params.p)
-    Rk, Rn = nl.radii
-    radii = (Rk,) * b + (Rn + 1,) * d
+    layered = state.layered
+    w = solver._uv_powers(layered[..., 0], layered[..., 1], b, params.p)[-1]
+    nl = solver._conv(layered, w[..., None], b)
+    Rk, Rn = state.radii
+    radii = ((2 * params.p + 1) * Rk,) * b + (Rn + 1,) * d
     idx = index_region(Region.box([-r for r in radii], radii), b)
     values = (linop.lattice_operator(params, omega, idx)
-              @ recenter(state.amp, radii).ravel()
-              + params.delta * recenter(nl.amp, radii).ravel())
-    return FourierState(values.reshape(tuple(2 * r + 1 for r in radii)
-                                       + (2,)), b)
+              @ recenter(layered, radii).ravel()
+              + params.delta * recenter(nl, radii).ravel())
+    return values.reshape(tuple(2 * r + 1 for r in radii) + (2,))
+
+
+def random_plus_coeffs(rng, b, d, count, k_max=3, n_max=2, scale=1.0):
+    """{(k, n, +1): value} at random sites with random complex values."""
+    coeffs = {}
+    for _ in range(count):
+        k = tuple(int(c) for c in rng.integers(-k_max, k_max + 1, b))
+        n = tuple(int(c) for c in rng.integers(-n_max, n_max + 1, d))
+        coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * scale
+    return coeffs
+
+
+def with_mirrors(coeffs):
+    """Plus-layer coefficients together with their minus-layer mirrors."""
+    out = dict(coeffs)
+    for (k, n, _), v in coeffs.items():
+        out[(tuple(-c for c in k), n, -1)] = np.conj(v)
+    return out
 
 
 def assert_bitwise_equal(a, b):
     """Same shape, values and sign bits, real and imaginary parts."""
     assert a.shape == b.shape
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     assert np.array_equal(a.view(float), b.view(float))
     assert np.array_equal(np.signbit(a.view(float)),
                           np.signbit(b.view(float)))
@@ -105,7 +128,6 @@ def reference_loop(params, M=2, r_max=10, tol=1e-11, N_cap=16):
             break
         state, _ = newton_step(state, omega, params,
                                min(M ** (r + 1), N_cap))
-        state = symmetrize(state)
         res = residual_sup(evaluate_F(state, omega, params))
         steps.append((res, tuple(float(x) for x in omega)))
         omega = solve_Q(state, params)
@@ -117,21 +139,42 @@ class TestLayout:
     def test_box_order_is_index_region_order(self, b, d):
         rng = np.random.default_rng(10 * b + d)
         for _ in range(5):
-            coeffs = {}
-            for _ in range(int(rng.integers(1, 12))):
-                k = tuple(int(c) for c in rng.integers(-3, 4, b))
-                n = tuple(int(c) for c in rng.integers(-2, 3, d))
-                xi = 1 if rng.random() < 0.5 else -1
-                coeffs[(k, n, xi)] = complex(*rng.standard_normal(2))
+            coeffs = random_plus_coeffs(rng, b, d, int(rng.integers(1, 12)))
             state = FourierState.from_coeffs(coeffs, b, d, {})
-            assert state.coeffs == coeffs
+            want = with_mirrors(coeffs)
+            assert state.coeffs == want
             Rk, Rn = state.radii
             radii = (Rk,) * b + (Rn,) * d
+            assert state.amp.shape == tuple(2 * r + 1 for r in radii)
             idx = index_region(Region.box([-r for r in radii], radii), b)
-            flat = state.amp.ravel()
+            flat = state.layered.ravel()
             assert flat.size == idx.m
             for i, site in enumerate(idx.sites):
-                assert flat[i] == state.get(site) == coeffs.get(site, 0.0)
+                assert flat[i] == state.get(site) == want.get(site, 0.0)
+
+    @pytest.mark.parametrize("b, d", [(1, 1), (2, 1), (1, 2)])
+    def test_minus_layer_is_conjugate_mirror(self, b, d):
+        state = FourierState.from_coeffs(
+            random_plus_coeffs(np.random.default_rng(b + 7 * d), b, d, 10),
+            b, d, {})
+        Rk, Rn = state.radii
+        radii = (Rk,) * b + (Rn,) * d
+        minus = 0
+        for site in index_region(Region.box([-r for r in radii], radii),
+                                 b).sites:
+            k, n, xi = site
+            if xi < 0:
+                mirror = state.get((tuple(-c for c in k), n, 1))
+                assert state.get(site) == np.conj(mirror)
+                minus += site in state.coeffs
+        # coeffs lists both layers
+        assert minus == len(state.coeffs) // 2 > 0
+
+    def test_minus_layer_key_rejected(self):
+        with pytest.raises(ValueError, match="minus layer"):
+            FourierState.from_coeffs({((1,), (0,), -1): 1.0}, 1, 1, {})
+        with pytest.raises(ValueError, match="minus layer"):
+            FourierState.from_coeffs({}, 1, 1, {((1,), (0,), -1): 1.0})
 
 
 class TestInitialState:
@@ -147,7 +190,16 @@ class TestInitialState:
         assert initial_state(p).support_radius() == 4
 
     def test_conjugacy_defect_zero(self):
-        assert initial_state(reference_params()).conjugacy_defect() == 0.0
+        # Only the plus layer is stored; the minus layer is its exact
+        # conjugate mirror, so the recorded defect is 0 by construction.
+        p = b2_params()
+        state = initial_state(p)
+        assert state.amp.shape == (3, 3, 5)
+        assert state.coeffs == with_mirrors(anchor_sites(p))
+        assert np.array_equal(state.layered[..., 1],
+                              np.conj(state.amp[::-1, ::-1]))
+        assert certificates_for(state, base_frequencies(p),
+                                p).conjugacy_defect == 0.0
 
 
 class TestConvolution:
@@ -166,13 +218,7 @@ class TestConvolution:
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(17)
         for p_pow in (1, 2):
-            coeffs = {}
-            for _ in range(6):
-                k = (int(rng.integers(-2, 3)),)
-                n = (int(rng.integers(-1, 2)),)
-                val = complex(rng.standard_normal(), rng.standard_normal())
-                coeffs[(k, n, 1)] = val
-                coeffs[(tuple(-c for c in k), n, -1)] = np.conj(val)
+            coeffs = random_plus_coeffs(rng, 1, 1, 6, k_max=2, n_max=1)
             state = FourierState.from_coeffs(coeffs, 1, 1, {})
             fast = convolution_nonlinearity(state, p_pow).coeffs
             slow = brute_force_nonlinearity(state, p_pow)
@@ -200,12 +246,17 @@ class TestEvaluateF:
             assert abs(v) == pytest.approx(1e-3 * 1.5)
 
     def test_residual_conjugacy_mirror(self):
-        p = reference_params()
-        state = symmetrize(initial_state(p))
-        res = evaluate_F(state, base_frequencies(p), p)
-        for (k, n, xi), v in res.coeffs.items():
-            mirror = res.coeffs.get((tuple(-c for c in k), n, -xi), 0.0)
-            assert v == pytest.approx(np.conj(mirror), abs=1e-14)
+        # The derived minus-layer rows agree with the minus-layer
+        # equations evaluated on their own, to the round-off of their
+        # terms, which scale with the amplitudes, not with the residual.
+        for params, N_cap in ((reference_params(), 16), (b2_params(), 5)):
+            sol = run_solver(params, N_cap=N_cap)
+            for state in (initial_state(params), sol.state):
+                res = evaluate_F(state, sol.omega, params).layered
+                want = layered_residual(state, sol.omega, params)
+                assert np.array_equal(res[..., 0], want[..., 0])
+                assert (np.abs(res - want).max()
+                        <= 1e-15 * np.abs(state.amp).max())
 
     def test_d2_brute_force_neighbour_sum(self):
         p = ModelParams(V=TrigPoly(d=2, K=1, gamma=((1, 1), (1, -1)),
@@ -215,13 +266,8 @@ class TestEvaluateF:
                         sites=((0, 0),), a=(1.5,))
         om = base_frequencies(p) + 1e-4
         rng = np.random.default_rng(29)
-        coeffs = {}
-        for _ in range(10):
-            k = (int(rng.integers(-2, 3)),)
-            n = tuple(int(c) for c in rng.integers(-2, 3, 2))
-            coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * 0.1
-        state = symmetrize(FourierState.from_coeffs(coeffs, 1, 2,
-                                                    anchor_sites(p)))
+        coeffs = random_plus_coeffs(rng, 1, 2, 10, k_max=2, scale=0.1)
+        state = FourierState.from_coeffs(coeffs, 1, 2, anchor_sites(p))
         res = evaluate_F(state, om, p)
         nl = brute_force_nonlinearity(state, p.p)
         rows = set(state.coeffs) | set(nl)
@@ -252,13 +298,13 @@ class TestEvaluateF:
     def test_bitwise_equals_wide_box_residual(self, monkeypatch, params,
                                               N_cap):
         # Every residual of a run, the frequency solves' included, is
-        # bitwise the one the operator on the nonlinearity's box gives.
+        # bitwise the plus layer of the layered residual on the wide box.
         seen = []
 
         def checked(state, omega, params):
             out = evaluate_F(state, omega, params)
-            assert_bitwise_equal(out.amp,
-                                 wide_box_residual(state, omega, params).amp)
+            assert_bitwise_equal(
+                out.amp, layered_residual(state, omega, params)[..., 0])
             seen.append(out)
             return out
 
@@ -272,28 +318,31 @@ class TestEvaluateF:
         state = initial_state(params)
         om = solve_Q(state, params)
         state, _ = newton_step(state, om, params, min(2, N_cap))
-        for s in (state, symmetrize(state)):
-            assert_bitwise_equal(evaluate_F(s, om, params).amp,
-                                 wide_box_residual(s, om, params).amp)
+        assert_bitwise_equal(evaluate_F(state, om, params).amp,
+                             layered_residual(state, om, params)[..., 0])
 
     def test_operator_built_on_state_k_box(self, monkeypatch):
-        # D and the hopping are diagonal in k, so the residual's operator
-        # needs only the state's k box, widened by one hop in n.
+        # D and the hopping are diagonal in k and in the layer, so the
+        # residual's operator needs only the plus layer of the state's k
+        # box, widened by one hop in n, and no layered indexing.
         p = b2_params()
         sol = run_solver(p, N_cap=5)
-        rows = []
+        boxes = []
 
-        def recording(params, omega, idx, *args):
-            rows.append(idx.m)
-            return linop.lattice_operator(params, omega, idx, *args)
+        def recording(params, omega, radii):
+            boxes.append(tuple(radii))
+            return linop.box_operator(params, omega, radii)
 
-        monkeypatch.setattr(solver, "lattice_operator", recording)
+        def layered(*args, **kwargs):
+            raise AssertionError("evaluate_F indexed a layered region")
+
+        monkeypatch.setattr(solver, "box_operator", recording)
+        monkeypatch.setattr(solver, "index_region", layered)
         for state in (initial_state(p), sol.state):
-            rows.clear()
+            boxes.clear()
             evaluate_F(state, sol.omega, p)
             Rk, Rn = state.radii
-            assert rows and max(rows) <= ((2 * Rk + 1) ** p.b
-                                          * (2 * Rn + 3) ** p.d * 2)
+            assert boxes == [(Rk,) * p.b + (Rn + 1,) * p.d]
 
 
 class TestSolveQ:
@@ -315,7 +364,6 @@ class TestSolveQ:
         p = b2_params()
         state = initial_state(p)
         state, _ = newton_step(state, solve_Q(state, p), p, N=2)
-        state = symmetrize(state)
         res = evaluate_F(state, solve_Q(state, p), p)
         for site in anchor_sites(p):
             assert abs(res.get(site).real) <= 1e-15
@@ -356,7 +404,6 @@ class TestFrequencyUpdate:
         p = b2_params()
         state = initial_state(p)
         state, _ = newton_step(state, solve_Q(state, p), p, N=2)
-        state = symmetrize(state)
         om = base_frequencies(p) + 0.01
         got = _frequency_update(evaluate_F(state, om, p), om, p)
         assert np.abs(got - solve_Q(state, p)).max() <= 1e-15
@@ -373,7 +420,7 @@ class TestNewtonStep:
 
     def test_coupling_kernel_structure(self):
         p = reference_params()
-        state = symmetrize(initial_state(p))
+        state = initial_state(p)
         S = linearization_coupling(state, p, [(0,)], dk_radius=4)
         # n-diagonal and Toplitz by construction: keys carry dk only
         for (dk, n, xi, xip) in S:
@@ -383,7 +430,7 @@ class TestNewtonStep:
         from qpnls.lattice import frozen_mode_sites
         from qpnls.linop import assemble_H
         p = reference_params()
-        state = symmetrize(initial_state(p))
+        state = initial_state(p)
         om = base_frequencies(p)
         reg = Region.cube(2, 2)
         n_vals = {y[1:] for y in reg.sites()}
@@ -475,9 +522,16 @@ class TestNewtonStep:
         rhs = solver._gather(evaluate_F(state, om, params), idx)
         lu = splu(csc_matrix(A, shape=(idx.m, idx.m)),
                   permc_spec="MMD_AT_PLUS_A")
+        delta = lu.solve(rhs)
+        assert np.array_equal(solver._sparse_lu(A).solve(rhs), delta)
+        # newton_step subtracts that correction from both layers and folds
+        # them onto the plus layer.
         new, _ = newton_step(state, om, params, N)
-        # The initial state is zero off the frozen anchors.
-        assert np.array_equal(-solver._gather(new, idx), lu.solve(rhs))
+        Rk, Rn = state.radii
+        radii = (max(Rk, N),) * params.b + (max(Rn, N),) * params.d
+        layered = recenter(state.layered, radii)
+        layered[solver._box_at(idx, radii)] -= delta
+        assert_bitwise_equal(new.amp, symmetrize(layered, params.b).amp)
         # The adjoint solve an a posteriori bound would use agrees too.
         assert np.array_equal(solver._sparse_lu(A).solve(rhs, trans="H"),
                               lu.solve(rhs, trans="H"))
@@ -516,35 +570,26 @@ class TestNewtonStep:
 
 class TestSymmetrize:
     def test_symmetric_unchanged(self):
-        p = reference_params()
-        state = symmetrize(initial_state(p))
-        again = symmetrize(state)
-        for site in set(state.coeffs) | set(again.coeffs):
-            assert state.get(site) == pytest.approx(again.get(site),
-                                                    abs=1e-16)
+        rng = np.random.default_rng(19)
+        for b, d in ((1, 1), (2, 1)):
+            state = FourierState.from_coeffs(
+                random_plus_coeffs(rng, b, d, 10), b, d, {})
+            assert_bitwise_equal(symmetrize(state.layered, b).amp,
+                                 state.amp)
 
     def test_fills_missing_mirror_with_average(self):
-        state = FourierState.from_coeffs({((2,), (1,), 1): 0.8 + 0.2j}, 1, 1,
-                                         {})
-        out = symmetrize(state)
+        layered = np.zeros((5, 3, 2), dtype=complex)
+        layered[4, 2, 0] = 0.8 + 0.2j  # ((2,), (1,), +)
+        out = symmetrize(layered, 1)
         assert out.get(((2,), (1,), 1)) == pytest.approx(0.4 + 0.1j)
         assert out.get(((-2,), (1,), -1)) == pytest.approx(0.4 - 0.1j)
 
     def test_idempotent(self):
         rng = np.random.default_rng(23)
-        coeffs = {}
-        for _ in range(10):
-            k = (int(rng.integers(-3, 4)),)
-            n = (int(rng.integers(-2, 3)),)
-            xi = 1 if rng.random() < 0.5 else -1
-            coeffs[(k, n, xi)] = complex(rng.standard_normal(),
-                                         rng.standard_normal())
-        state = FourierState.from_coeffs(coeffs, 1, 1, {})
-        once = symmetrize(state)
-        twice = symmetrize(once)
-        for site in set(once.coeffs) | set(twice.coeffs):
-            assert once.get(site) == pytest.approx(twice.get(site),
-                                                   abs=1e-15)
+        layered = (rng.standard_normal((7, 5, 2))
+                   + 1j * rng.standard_normal((7, 5, 2)))
+        once = symmetrize(layered, 1)
+        assert_bitwise_equal(symmetrize(once.layered, 1).amp, once.amp)
 
 
 class TestRunSolver:
@@ -582,12 +627,22 @@ class TestRunSolver:
         assert all(a < b for a, b in zip(loglog, loglog[1:]))
 
     def test_round_trip_record(self):
-        sol = run_solver(reference_params())
-        rec = solution_to_record(sol)
-        back = solution_from_record(rec)
-        assert back.omega == sol.omega
-        assert back.state.coeffs == sol.state.coeffs
-        assert solution_to_record(back) == rec
+        # As solution.json stores it: both layers, through JSON text.
+        for params, N_cap in ((reference_params(), 16), (b2_params(), 8)):
+            sol = run_solver(params, N_cap=N_cap)
+            rec = solution_to_record(sol)
+            plus = {(tuple(c["k"]), tuple(c["n"])): complex(c["re"], c["im"])
+                    for c in rec["coeffs"] if c["xi"] == 1}
+            minus = {(tuple(-x for x in c["k"]), tuple(c["n"])):
+                     complex(c["re"], -c["im"])
+                     for c in rec["coeffs"] if c["xi"] == -1}
+            assert plus == minus and len(rec["coeffs"]) == 2 * len(plus)
+            text = json.dumps(rec, sort_keys=True, indent=2)
+            back = solution_from_record(json.loads(text))
+            assert back.omega == sol.omega
+            assert back.state.coeffs == sol.state.coeffs
+            assert json.dumps(solution_to_record(back), sort_keys=True,
+                              indent=2) == text
 
     def test_b2_large_cube_converges(self):
         # The last cube, N = 8, has m = 9,822 unknowns: 1.5 GB as a dense

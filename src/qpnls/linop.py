@@ -14,6 +14,7 @@ the +/- layers decouple and each is real symmetric, shifted by -+ sigma.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -133,6 +134,11 @@ def _scipy_extension(name: str):
     later import of its package takes this module rather than initialising
     the extension again.  The package attribute stays unbound then; SciPy's
     own `from . import` reads the module from sys.modules.
+
+    A load that maps a new OpenBLAS (SuperLU's maps SciPy's own) stops
+    its thread pool at once, as its fork handler does: each new worker
+    would spin idle for 2^28 clock cycles, about 0.1 s of CPU time on
+    another core.  OpenBLAS restarts the pool for a call that needs it.
     """
     module = sys.modules.get(name)
     if module is None:
@@ -144,11 +150,23 @@ def _scipy_extension(name: str):
         if path is None:
             raise ImportError(f"no extension module {name} in {folder}",
                               name=name)
+        blas = _mapped_openblas()
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
+        for lib in _mapped_openblas() - blas:
+            getattr(ctypes.CDLL(lib), "blas_thread_shutdown_", int)()
     return module
+
+
+def _mapped_openblas() -> set[str]:
+    """Files of the OpenBLAS libraries mapped in this process (Linux)."""
+    if not os.path.exists("/proc/self/maps"):
+        return set()
+    with open("/proc/self/maps") as fh:
+        return {line.split()[-1] for line in fh if "openblas" in line
+                and ".so" in line}
 
 
 _SPARSETOOLS = "scipy.sparse._sparsetools"

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 
 import mpmath
@@ -274,6 +276,28 @@ def test_missing_extension_raises_import_error():
     with pytest.raises(ImportError, match=rf"{name} in \S+sparse$"):
         linop._scipy_extension(name)
     assert name not in sys.modules
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in Linux's /proc")
+def test_superlu_load_leaves_no_new_blas_threads():
+    # Loading SuperLU maps SciPy's OpenBLAS, whose new thread pool would
+    # spin idle for about 0.1 s of CPU time.  The loader stops the pool,
+    # so no thread is left behind, and a threaded BLAS product run after
+    # it (OpenBLAS restarts the pool) is still right.
+    code = "\n".join([
+        "import os, numpy as np",
+        "from qpnls import linop, solver",
+        "before = set(os.listdir('/proc/self/task'))",
+        "linop._scipy_extension(solver._SUPERLU)",
+        "after = set(os.listdir('/proc/self/task'))",
+        "from scipy.linalg import blas",
+        "a = np.random.default_rng(0).standard_normal((300, 300))",
+        "print(after - before, np.allclose(blas.dgemm(1.0, a, a), a @ a))"])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "set() True"
 
 
 class TestGreen:

@@ -303,16 +303,16 @@ def stage_evolve(config: dict, out: Path) -> dict:
     there is no readable one or it was solved from other params/solver
     sections.  An unconverged solution fails, whichever stage wrote it."""
     path = out / "solution.json"
-    try:
+    try:  # absent, not JSON, another config's or not a whole solution
         record = json.loads(path.read_text())
-    except (OSError, ValueError):  # absent, unreadable or not JSON
-        record = None
+        fresh = record["solve_config_hash"] == _solve_config_hash(config)
+        sol = solver.solution_from_record(record) if fresh else None
+    except (OSError, KeyError, TypeError, ValueError):
+        sol = None
     outputs = []
-    if (not isinstance(record, dict) or record.get("solve_config_hash")
-            != _solve_config_hash(config)):
+    if sol is None:
         outputs = stage_solve(config, out)["outputs"]
-        record = json.loads(path.read_text())
-    sol = solver.solution_from_record(record)
+        sol = solver.solution_from_record(json.loads(path.read_text()))
     if not sol.converged:
         return {"status": "fail", "outputs": outputs,
                 "reason": "solution not converged"}

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
@@ -35,8 +37,9 @@ def sup_norm(v: Iterable[int]) -> int:
     return max(vs) if vs else 0
 
 
-def _in_box(pts: np.ndarray, lo: IntVec, hi: IntVec) -> np.ndarray:
-    return ((pts >= lo) & (pts <= hi)).all(axis=1)
+def _in_box(pts: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """lo <= x <= lo + span on each row x: x - lo read as unsigned <= span."""
+    return np.logical_and.reduce((pts - lo).view(np.uint64) <= span, axis=1)
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,19 @@ class Region:
                     raise ValueError(f"unknown relation {s!r}")
             if all(l <= h for l, h in zip(lo, hi)):
                 corner = tuple(lo), tuple(hi)
-        object.__setattr__(self, "_corner", corner)
-        # contains_array's bounds: row 0 the box, row 1 the corner if any.
         boxes = [(self.lo, self.hi)] + ([corner] if corner else [])
-        lows, highs = (np.array(side, dtype=np.int64) for side in zip(*boxes))
-        object.__setattr__(self, "_lows", lows)
-        object.__setattr__(self, "_highs", highs)
+        sizes = [math.prod(h - l + 1 for l, h in zip(*box)) for box in boxes]
+        for name, value in (
+                ("_corner", corner), ("_size", sizes[0] - sum(sizes[1:])),
+                ("_bounds", [(np.array(lo, dtype=np.int64),
+                              np.subtract(hi, lo).astype(np.uint64))
+                             for lo, hi in boxes]),
+                ("_ranges", tuple(range(l, h + 1) for l, h in zip(*boxes[0]))),
+                ("_pack", struct.Struct(f"{len(self.lo)}q").pack)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # by its fields; _pack (a Struct's) cannot pickle
+        return Region, (self.lo, self.hi, self.sign_cuts, self.cut_origin)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -108,34 +118,36 @@ class Region:
 
     def points(self) -> np.ndarray:
         """(size, r) int64 array of the member sites in C order."""
-        shape = tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
+        shape = tuple(map(len, self._ranges))
         pts = np.indices(shape, dtype=np.int64).reshape(self.r, -1).T + self.lo
-        if self._corner is None:
-            return pts
-        return pts[~_in_box(pts, *self._corner)]
+        return pts if self._corner is None else pts[
+            ~_in_box(pts, *self._bounds[1])]
 
     def sites(self) -> list[IntVec]:
         """The member sites as tuples, in the order of points()."""
+        box = itertools.product(*self._ranges)
         if self._corner is None:
-            return list(itertools.product(
-                *(range(l, h + 1) for l, h in zip(self.lo, self.hi))))
-        return list(zip(*self.points().T.tolist()))
+            return list(box)
+        kept = np.ones(tuple(map(len, self._ranges)), dtype=bool)
+        kept[tuple(slice(cl - l, ch - l + 1)
+                   for l, cl, ch in zip(self.lo, *self._corner))] = False
+        return list(itertools.compress(box, kept.ravel().tolist()))
 
     def size(self) -> int:
         """Member count: the box minus the corner."""
-        size = math.prod(h - l + 1 for l, h in zip(self.lo, self.hi))
-        if self._corner is None:
-            return size
-        return size - math.prod(h - l + 1 for l, h in zip(*self._corner))
+        return self._size
 
-    def contains_array(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for an (m, r) integer array: in the
-        box and, on a cut region, not in the corner, in one comparison."""
-        pts = np.asarray(pts)[:, None]
-        within = ((pts >= self._lows) & (pts <= self._highs)).all(axis=2)
-        if self._corner is None:
-            return within[:, 0]
-        return within[:, 0] > within[:, 1]
+    def contains_array(self, pts) -> np.ndarray:
+        """Membership of an (m, r) integer array or a sequence of sites."""
+        if not (isinstance(pts, np.ndarray) and np.can_cast(pts, np.int64)):
+            try:  # _pack refuses floats (fromiter truncates) and ragged rows
+                pts = np.frombuffer(b"".join(itertools.starmap(
+                    self._pack, pts)), np.int64).reshape(-1, self.r)
+            except struct.error as exc:
+                raise ValueError(f"sites need {self.r} integers each") from exc
+        inside = _in_box(pts, *self._bounds[0])
+        return inside if self._corner is None else (
+            inside > _in_box(pts, *self._bounds[1]))
 
     def diameter(self) -> int:
         """Sup-norm diameter, computed exactly from the member sites."""
@@ -245,11 +257,13 @@ def region_section(region: Region, b: int, k: IntVec) -> SectionShape:
     """
     if region.r - b < 1 or len(k) != b:
         raise ValueError("bad split: need len(k) == b and d >= 1")
-    if not all(l <= c <= h for c, l, h in zip(k, region.lo, region.hi)):
+    if not (all(map(operator.le, region.lo, k))
+            and all(map(operator.le, k, region.hi))):
         raise EmptySectionError(f"k={k} outside the projection")
     off, on = _sections(region, b)
     corner = region._corner
-    if corner is None or not all(l <= c <= h for c, l, h in zip(k, *corner)):
+    if corner is None or not (all(map(operator.le, corner[0], k))
+                              and all(map(operator.le, k, corner[1]))):
         return off
     if on is None:
         # The whole section lies in the removed corner.

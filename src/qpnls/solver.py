@@ -242,19 +242,20 @@ def linearization_coupling(state: FourierState, params: ModelParams,
     {(dk, n, xi, xi'): value} (see linop.lattice_operator).
 
     Diagonal layer blocks carry (p+1)(u*v)^p; the cross-layer blocks
-    carry p (u*v)^(p-1) * u * u and its conjugate mirror.
+    carry p (u*v)^(p-1) * u * u and its conjugate mirror, plus 0: conj
+    turns the +0 imaginary parts a convolution leaves into -0.
     """
     p, b = params.p, state.b
     u, v = state.amp, _mirror(state.amp, b)
     powers = _uv_powers(u, v, b, p)
-    uu, vv = _conv(u, u, b), _conv(v, v, b)
+    uu = _conv(u, u, b)
     if p >= 2:
-        uu, vv = _conv(powers[-2], uu, b), _conv(powers[-2], vv, b)
+        uu = _conv(powers[-2], uu, b)
     blocks = {
         (+1, +1): (p + 1) * powers[-1],
         (-1, -1): (p + 1) * powers[-1],
         (+1, -1): p * uu,
-        (-1, +1): p * vv,
+        (-1, +1): p * (_mirror(uu, b) + 0),
     }
     Rn = state.radii[1]
     kernel = {}

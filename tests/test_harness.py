@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qpnls import solver
+from qpnls import harness, solver
 from qpnls.harness import (DEFAULT_CONFIG, EXIT_ACCEPTANCE, EXIT_NUMERIC,
                            EXIT_OK, EXIT_VALIDATION, ConfigError, apply_override,
                            canonical_json, config_hash, load_config, main,
@@ -103,11 +103,15 @@ class TestStages:
         rec = json.loads((tmp_path / "solution.json").read_text())
         assert rec["params"]["epsilon"] == DEFAULT_CONFIG["params"]["epsilon"]
 
-    @pytest.mark.parametrize("content", ["{not json", "[]"],
-                             ids=["not-json", "not-an-object"])
+    @pytest.mark.parametrize("content", [
+        "{not json", "[]",
+        # this config's hash, but none of a solution's other fields
+        json.dumps({"solve_config_hash": harness._solve_config_hash(
+            load_config(None, ["solver.N_cap=8", "evolve.T=1.0"]))}),
+    ], ids=["not-json", "not-an-object", "incomplete"])
     def test_evolve_resolves_unreadable_solution(self, tmp_path, capsys,
                                                  content):
-        # a solution.json that holds no JSON object counts as absent
+        # a solution.json that holds no whole solution counts as absent
         path = tmp_path / "solution.json"
         path.write_text(content)
         assert main(["evolve", "--set", "solver.N_cap=8", "--set",

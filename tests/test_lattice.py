@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 from collections import defaultdict, deque
 
 import numpy as np
@@ -128,8 +130,40 @@ class TestRegionBasics:
             for p, m in zip(pts, mask):
                 assert bool(m) == bool(reg.contains_array([p])[0]) \
                     == member(reg, p)
-            for same in (np.asarray(pts, dtype=np.int32), pts):
+            # the same mask from tuples, lists and any integer array
+            for same in (pts, [list(p) for p in pts],
+                         np.asarray(pts, dtype=np.int32),
+                         np.asarray(pts, dtype=np.int64)):
                 assert reg.contains_array(same).tolist() == mask.tolist()
+            for empty in ([], np.empty((0, 2), dtype=np.int64)):
+                got = reg.contains_array(empty)
+                assert got.dtype == bool and got.shape == (0,)
+
+    def test_contains_array_refuses_non_integer_sites(self):
+        # a coordinate of 2.5 is outside [0, 2]; truncated, it would be in;
+        # ragged rows of 2 sites' worth of integers are no 2 sites either
+        for reg in (Region((0, 0), (2, 2)),
+                    Region((0, 0), (2, 2), ("<", "<"), (1, 1))):
+            for pts in ([(2.5, 0)], [(2, 0.5)], np.array([[2.5, 0.0]]),
+                        [(2, 1, 0), (1,)], [(0, 0, 0)]):
+                with pytest.raises(ValueError):
+                    reg.contains_array(pts)
+
+    def test_equal_regions_hash_equal(self):
+        reg = Region((-1, 0, 2), (3, 4, 5), ("<", None, ">"))
+        for same in (Region((-1, 0, 2), (3, 4, 5), ("<", None, ">"),
+                            (1, 2, 3)),
+                     reg.translate((2, -1, 0)).translate((-2, 1, 0)),
+                     Region.from_record(reg.to_record()),
+                     pickle.loads(pickle.dumps(reg)), copy.deepcopy(reg)):
+            assert same == reg and hash(same) == hash(reg)
+            assert same.sites() == reg.sites()
+            assert same.contains_array([(0, 0, 5), (2, 0, 5)]).tolist() == [
+                False, True]
+        regs = enumerate_elementary_regions(3, 1)
+        again = enumerate_elementary_regions(3, 1)
+        assert all(a == b and hash(a) == hash(b) for a, b in zip(regs, again))
+        assert len(set(regs + again)) == len(regs)
 
     def test_points_match_hand_membership(self):
         regs = enumerate_elementary_regions(3, 2)
@@ -243,7 +277,10 @@ class TestRegionSection:
                            for l, h in zip(lo, hi))
             reg = Region(lo, hi, cuts, origin)
             sites = hand_site_set(reg)
-            assert reg.size() == len(sites)
+            listed = reg.sites()
+            assert listed == list(map(tuple, reg.points().tolist()))
+            assert all(type(c) is int for y in listed for c in y)
+            assert reg.size() == len(listed) == len(sites)
             payloads = {}
             for b in range(1, r):
                 n_box = hand_site_set(Region(lo[b:], hi[b:]))

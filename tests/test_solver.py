@@ -426,6 +426,38 @@ class TestNewtonStep:
         for (dk, n, xi, xip) in S:
             assert n == (0,)
 
+    @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
+                             ids=["reference", "b2", "d2", "p2"])
+    def test_coupling_minus_block_is_mirror(self, monkeypatch, params,
+                                            N_cap):
+        # The (-1, +1) block is derived as the mirror of the (+1, -1) one.
+        # At every Newton step of these runs its kernel entries are bitwise
+        # those of the convolution p (u*v)^(p-1) * v * v it replaces.
+        seen = []
+
+        def checked(state, params, n_values, dk_radius):
+            b, p = state.b, params.p
+            u, v = state.amp, solver._mirror(state.amp, b)
+            vv = solver._conv(v, v, b)
+            if p >= 2:
+                q = solver._uv_powers(u, v, b, p)[-2]
+                vv = solver._conv(q, vv, b)
+            want = p * vv
+            centre = [(s - 1) // 2 for s in want.shape]
+            kernel = linearization_coupling(state, params, list(n_values),
+                                            dk_radius)
+            minus = [(val, want[tuple(np.add(dk + n, centre))])
+                     for (dk, n, xi, xip), val in kernel.items()
+                     if (xi, xip) == (-1, +1)]
+            assert minus
+            assert_bitwise_equal(*np.array(minus).T)
+            seen.append(kernel)
+            return kernel
+
+        monkeypatch.setattr(solver, "linearization_coupling", checked)
+        run_solver(params, N_cap=N_cap)
+        assert len(seen) >= 2
+
     def test_coupling_hermitian_in_assembly(self):
         from qpnls.lattice import frozen_mode_sites
         from qpnls.linop import assemble_H

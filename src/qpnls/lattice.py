@@ -89,8 +89,12 @@ class Region:
                               np.subtract(hi, lo).astype(np.uint64))
                              for lo, hi in boxes]),
                 ("_ranges", tuple(range(l, h + 1) for l, h in zip(*boxes[0]))),
-                ("_pack", struct.Struct(f"{len(self.lo)}q").pack)):
+                ("_pack", struct.Struct(f"{len(self.lo)}q").pack),
+                ("_hash", hash(self.__reduce__()[1]))):
             object.__setattr__(self, name, value)
+
+    def __hash__(self):  # the fields' hash, computed once
+        return self._hash
 
     def __reduce__(self):  # by its fields; _pack (a Struct's) cannot pickle
         return Region, (self.lo, self.hi, self.sign_cuts, self.cut_origin)

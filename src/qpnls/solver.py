@@ -35,6 +35,11 @@ _GROWTH_RTOL = 1e-9
 # is 144 MB); above it the value is nan.
 _SVD_MAX_M = 3000
 
+# Newton's matrix leaves out coupling entries with delta |S| <= u eps, u =
+# 2^-53: each is below u times its row's hopping eps, and so is their sum
+# (the kernel decays in dk), inside LU's backward error (Higham, ch. 9).
+_ROUND_OFF = 2.0 ** -53
+
 
 # -- state -------------------------------------------------------------
 
@@ -99,7 +104,11 @@ class FourierState:
                                       layered[tuple(nz.T)].tolist())}
 
     def get(self, site: Site) -> complex:
-        return complex(_gather(self, index_sites([site]))[0])
+        (Rk, Rn), (k, n, xi) = self.radii, site
+        if sup_norm(k) > Rk or sup_norm(n) > Rn:
+            return 0j
+        value = self.amp[(*(xi * c + Rk for c in k), *(c + Rn for c in n))]
+        return complex(value if xi > 0 else np.conj(value))
 
     def support_radius(self) -> int:
         """Largest sup norm of (k, n) over the nonzero amplitudes."""
@@ -243,7 +252,8 @@ def linearization_coupling(state: FourierState, params: ModelParams,
 
     Diagonal layer blocks carry (p+1)(u*v)^p; the cross-layer blocks
     carry p (u*v)^(p-1) * u * u and its conjugate mirror, plus 0: conj
-    turns the +0 imaginary parts a convolution leaves into -0.
+    turns the +0 imaginary parts a convolution leaves into -0.  Entries
+    with delta |S| <= _ROUND_OFF eps are cut, mirrors alike; F keeps them.
     """
     p, b = params.p, state.b
     u, v = state.amp, _mirror(state.amp, b)
@@ -265,7 +275,8 @@ def linearization_coupling(state: FourierState, params: ModelParams,
         at = (Ellipsis,) + tuple(c + Rn for c in n)
         for (xi, xip), arr in blocks.items():
             window = recenter(arr[at], (dk_radius,) * b)
-            nz = np.argwhere(window)
+            nz = np.argwhere(params.delta * np.abs(window)
+                             > _ROUND_OFF * params.epsilon)
             for dk, val in zip((nz - dk_radius).tolist(),
                                window[tuple(nz.T)].tolist()):
                 kernel[(tuple(dk), n, xi, xip)] = val

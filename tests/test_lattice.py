@@ -2,7 +2,10 @@ import copy
 import dataclasses
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 from collections import defaultdict, deque
 
 import numpy as np
@@ -164,6 +167,27 @@ class TestRegionBasics:
         again = enumerate_elementary_regions(3, 1)
         assert all(a == b and hash(a) == hash(b) for a, b in zip(regs, again))
         assert len(set(regs + again)) == len(regs)
+
+    def test_hash_is_the_fields_hash_after_unpickling(self):
+        # Each Region hashes its fields once, when it is built.  A pickle
+        # rebuilds it from its fields, so a region pickled in a process with
+        # another string hash ('<' and '>' in sign_cuts) hashes as one built
+        # where it is loaded.
+        reg = Region((-1, 0, 2), (3, 4, 5), ("<", None, ">"))
+        assert hash(reg) == hash((reg.lo, reg.hi, reg.sign_cuts,
+                                  reg.cut_origin))
+        code = ("import pickle, sys; from qpnls.lattice import Region; "
+                "reg = pickle.loads(sys.stdin.buffer.read()); "
+                "print(hash(reg) == hash(Region((-1, 0, 2), (3, 4, 5), "
+                "('<', None, '>'))), reg == Region((-1, 0, 2), (3, 4, 5), "
+                "('<', None, '>'), (1, 2, 3)))")
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], input=pickle.dumps(reg),
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == [b"True", b"True"]
 
     def test_points_match_hand_membership(self):
         regs = enumerate_elementary_regions(3, 2)

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from qpnls.lattice import Region, index_region, recenter, sup_norm
+from qpnls.lattice import (Region, index_region, index_sites, recenter,
+                           sup_norm)
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 from qpnls import linop, solver
@@ -105,6 +106,33 @@ def assert_bitwise_equal(a, b):
                           np.signbit(b.view(float)))
 
 
+def coupling_blocks(state, params):
+    """The four layer blocks of the coupling kernel, each convolved on its
+    own: (p+1)(u*v)^p on the diagonal, p (u*v)^(p-1) * u * u and
+    p (u*v)^(p-1) * v * v across."""
+    b, p = state.b, params.p
+    u, v = state.amp, solver._mirror(state.amp, b)
+    powers = solver._uv_powers(u, v, b, p)
+    uu, vv = solver._conv(u, u, b), solver._conv(v, v, b)
+    if p >= 2:
+        uu, vv = (solver._conv(powers[-2], w, b) for w in (uu, vv))
+    return {(+1, +1): (p + 1) * powers[-1], (-1, -1): (p + 1) * powers[-1],
+            (+1, -1): p * uu, (-1, +1): p * vv}
+
+
+def uncut_coupling(state, params, n_values, dk_radius):
+    """linearization_coupling's kernel with every nonzero entry kept."""
+    n_values, kernel = set(n_values), {}
+    for (xi, xip), arr in coupling_blocks(state, params).items():
+        centre = [(s - 1) // 2 for s in arr.shape]
+        for at in zip(*np.nonzero(arr)):
+            dk = tuple(int(c - o) for c, o in zip(at, centre))
+            n = dk[state.b:]
+            if n in n_values and sup_norm(dk[:state.b]) <= dk_radius:
+                kernel[(dk[:state.b], n, xi, xip)] = complex(arr[at])
+    return kernel
+
+
 # (params, N_cap): the reference case, b = 2, d = 2, and p = 2 at a
 # stronger coupling.
 PARITY_CASES = [
@@ -169,6 +197,26 @@ class TestLayout:
                 minus += site in state.coeffs
         # coeffs lists both layers
         assert minus == len(state.coeffs) // 2 > 0
+
+    @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
+                             ids=["reference", "b2", "d2", "p2"])
+    def test_get_bitwise_equals_layered_gather(self, params, N_cap):
+        # get reads amp at (k, n), or its conjugate at (-k, n) on the minus
+        # layer, bitwise as the layered box gives it, sign of zero included;
+        # outside the box it is +0.
+        state = run_solver(params, N_cap=N_cap).state
+        b, d = state.b, state.d
+        Rk, Rn = state.radii
+        radii = (Rk + 1,) * b + (Rn + 1,) * d
+        sites = index_region(Region.box([-r for r in radii], radii), b).sites
+        outside = [s for s in sites
+                   if sup_norm(s[0]) > Rk or sup_norm(s[1]) > Rn]
+        assert len(outside) >= 4 and {s[2] for s in outside} == {-1, 1}
+        got = np.array([state.get(site) for site in sites])
+        want = np.array([solver._gather(state, index_sites([site]))[0]
+                         for site in sites])
+        assert np.abs(got).max() > 0
+        assert_bitwise_equal(got, want)
 
     def test_minus_layer_key_rejected(self):
         with pytest.raises(ValueError, match="minus layer"):
@@ -321,6 +369,34 @@ class TestEvaluateF:
         assert_bitwise_equal(evaluate_F(state, om, params).amp,
                              layered_residual(state, om, params)[..., 0])
 
+    def test_cut_never_reaches_residual(self):
+        # A tail amplitude of 1e-10 at k = 4 beside the anchor at k = 1
+        # puts coupling entries below Newton's cut into the kernel, and a
+        # nonlinear term of 1.5e-20 at k = 7, u(4) u(4) conj u(1), where
+        # no amplitude or hop reaches.  The residual keeps that row, equal
+        # to the direct sum over k1 + k2 + k3 = k of u(k1) v(k2) u(k3).
+        p = reference_params()
+        state = FourierState.from_coeffs({((4,), (0,), 1): 1e-10}, 1, 1,
+                                         anchor_sites(p))
+        kernel = uncut_coupling(state, p, [(0,)], dk_radius=8)
+        kept = linearization_coupling(state, p, [(0,)], dk_radius=8)
+        assert kept.items() < kernel.items()
+        u = {k: c for (k, _, xi), c in state.coeffs.items() if xi > 0}
+        v = {k: c for (k, _, xi), c in state.coeffs.items() if xi < 0}
+        nl = {}
+        for (k1, a), (k2, c), (k3, e) in itertools.product(
+                u.items(), v.items(), u.items()):
+            k = (k1[0] + k2[0] + k3[0],)
+            nl[k] = nl.get(k, 0.0) + a * c * e
+        res = evaluate_F(state, solve_Q(state, p), p)
+        far = [k for k in nl if k not in u]
+        assert far == [(-2,), (7,)]
+        assert abs(p.delta * nl[(7,)]) < solver._ROUND_OFF * p.epsilon
+        for k in far:
+            got = res.get((k, (0,), 1))
+            assert got != 0 and got == pytest.approx(p.delta * nl[k],
+                                                     rel=1e-14)
+
     def test_operator_built_on_state_k_box(self, monkeypatch):
         # D and the hopping are diagonal in k and in the layer, so the
         # residual's operator needs only the plus layer of the state's k
@@ -436,13 +512,7 @@ class TestNewtonStep:
         seen = []
 
         def checked(state, params, n_values, dk_radius):
-            b, p = state.b, params.p
-            u, v = state.amp, solver._mirror(state.amp, b)
-            vv = solver._conv(v, v, b)
-            if p >= 2:
-                q = solver._uv_powers(u, v, b, p)[-2]
-                vv = solver._conv(q, vv, b)
-            want = p * vv
+            want = coupling_blocks(state, params)[(-1, +1)]
             centre = [(s - 1) // 2 for s in want.shape]
             kernel = linearization_coupling(state, params, list(n_values),
                                             dk_radius)
@@ -457,6 +527,33 @@ class TestNewtonStep:
         monkeypatch.setattr(solver, "linearization_coupling", checked)
         run_solver(params, N_cap=N_cap)
         assert len(seen) >= 2
+
+    @pytest.mark.parametrize("params, N_cap", [PARITY_CASES[1],
+                                               PARITY_CASES[3]],
+                             ids=["b2", "p2"])
+    def test_cut_keeps_newton_outcome(self, monkeypatch, params, N_cap):
+        # Newton on the uncut kernel stops for the same reason after as many
+        # steps, at amplitudes within 1e-20 of the cut run's.
+        cut = run_solver(params, N_cap=N_cap)
+        sizes = []
+
+        def uncut(state, params, n_values, dk_radius):
+            n_values = list(n_values)
+            kernel = uncut_coupling(state, params, n_values, dk_radius)
+            kept = linearization_coupling(state, params, n_values, dk_radius)
+            assert kept.items() <= kernel.items()
+            sizes.append((len(kept), len(kernel)))
+            return kernel
+
+        monkeypatch.setattr(solver, "linearization_coupling", uncut)
+        full = run_solver(params, N_cap=N_cap)
+        assert (full.stop_reason, full.newton_steps) \
+            == (cut.stop_reason, cut.newton_steps)
+        assert full.state.amp.shape == cut.state.amp.shape
+        assert np.abs(full.state.amp - cut.state.amp).max() <= 1e-20
+        assert len(sizes) == full.newton_steps
+        if params.b == 2:
+            assert sum(k for k, _ in sizes) < sum(n for _, n in sizes)
 
     def test_coupling_hermitian_in_assembly(self):
         from qpnls.lattice import frozen_mode_sites
@@ -682,6 +779,17 @@ class TestRunSolver:
         sol = run_solver(b2_params(), N_cap=8)
         assert sol.converged
         assert sol.trace.steps[-1]["N"] == 8
+        assert sol.certificates.residual < 1e-11
+
+    def test_b3_converges_with_cut_kernel(self):
+        # Three excited sites: the last cube, N = 6, has 57,116 unknowns.
+        # On the uncut kernel this solve peaked at about 0.7 GB.
+        p = ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
+                        theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
+                        sites=((0,), (2,), (-3,)), a=(1.5, 1.2, 1.0))
+        sol = run_solver(p, N_cap=6)
+        assert sol.converged and sol.newton_steps == 3
+        assert sol.trace.steps[-1]["N"] == 6
         assert sol.certificates.residual < 1e-11
 
     def test_divergence_raises_with_trace(self):

@@ -296,9 +296,9 @@ class Indexing:
     """Deterministic bijection between layered sites and 0..m-1.
 
     Row i is the site (positions[i, :b], positions[i, b:], layers[i]).
-    Sites are ordered lexicographically on (k, n) with + before -, which
-    fixes the matrix layout globally.  The site tuples and the lookup
-    idx[site] are derived from the arrays on first use.
+    index_sites and index_region order the sites lexicographically on
+    (k, n), + before -; lattice_operator accepts any order.  Site tuples
+    and the lookup idx[site] are derived from the arrays on first use.
     """
 
     positions: np.ndarray  # (m, b+d) int64

@@ -174,9 +174,9 @@ _SPARSETOOLS = "scipy.sparse._sparsetools"
 
 @dataclass(frozen=True, eq=False)
 class CSR:
-    """A square complex matrix in SciPy's canonical CSR layout: sorted
-    indices, no duplicates, int32 indices and indptr.  Each method runs
-    the _sparsetools kernel that csr_matrix's method of that name runs."""
+    """A square complex or real matrix in SciPy's canonical CSR layout:
+    sorted indices, no duplicates, int32 indices and indptr.  Each method
+    runs the _sparsetools kernel csr_matrix's method of that name runs."""
 
     data: np.ndarray
     indices: np.ndarray
@@ -196,7 +196,7 @@ class CSR:
 
     def toarray(self) -> np.ndarray:
         return self._kernel("csr_todense",
-                            np.zeros((self.m, self.m), complex))[0]
+                            np.zeros((self.m, self.m), self.data.dtype))[0]
 
     def tocsc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(data, indices, indptr) in canonical CSC layout."""
@@ -223,6 +223,23 @@ def _coo_to_csr(m: int, rows: np.ndarray, cols: np.ndarray,
         kernels.csr_sum_duplicates(m, m, indptr, indices, data)
         indices, data = indices[:indptr[-1]], data[:indptr[-1]]
     return CSR(data, indices, indptr)
+
+
+def real_form(A: CSR, P: int) -> CSR:
+    """The first P rows of A, whose columns are P sites and then their P
+    mirrors holding conj(x), as one real 2P x 2P matrix on (Re x, Im x):
+    a x + c conj(x) is [[ar + cr, ci - ai], [ai + ci, ar - cr]] for the
+    column blocks a and c.  Exact zeros are left out."""
+    stop = A.indptr[P]
+    rows = np.repeat(np.arange(P), np.diff(A.indptr[:P + 1]))
+    mirror, cols = np.divmod(A.indices[:stop], P)
+    sign = 1.0 - 2.0 * mirror
+    re, im = A.data[:stop].real, A.data[:stop].imag
+    rows = np.concatenate([rows, rows, rows + P, rows + P])
+    cols = np.concatenate([cols, cols + P, cols, cols + P])
+    vals = np.concatenate([re, -sign * im, im, sign * re])
+    keep = vals != 0.0
+    return _coo_to_csr(2 * P, rows[keep], cols[keep], vals[keep])
 
 
 def lattice_operator(params: ModelParams, omega: Sequence[float],

@@ -17,10 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lattice import (Indexing, Region, Site, box_sup_norms,
-                      frozen_mode_sites, index_region, index_sites, recenter,
-                      sup_norm)
-from .linop import (SingularOperatorError, _scipy_extension, box_operator,
-                    lattice_operator)
+                      frozen_mode_sites, index_region, recenter, sup_norm)
+from .linop import (CSR, SingularOperatorError, _scipy_extension,
+                    box_operator, lattice_operator, real_form)
 from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
@@ -30,9 +29,9 @@ IntVec = tuple[int, ...]
 # runs measured), while the smallest real growth in the tests is 3.7%.
 _GROWTH_RTOL = 1e-9
 
-# A singular Newton operator reports its smallest singular value from a
-# dense SVD only up to this many unknowns (a 3,000 x 3,000 complex matrix
-# is 144 MB); above it the value is nan.
+# A singular Newton matrix reports its smallest singular value from a
+# dense SVD only up to this many unknowns (a 3,000 x 3,000 real matrix is
+# 72 MB); above it the value is nan.
 _SVD_MAX_M = 3000
 
 # Newton's matrix leaves out coupling entries with delta |S| <= u eps, u =
@@ -50,9 +49,8 @@ class FourierState:
 
     amp has shape (2Rk+1,)*b + (2Rn+1,)*d: k axes, then n axes.  The
     minus layer is not stored: its coefficient at (k, n, -) is the
-    conjugate of the one at (-k, n, +), and `layered` derives it.  The
-    anchor amplitudes at the excited sites are written by from_coeffs;
-    Newton never corrects them and symmetrize maps them to themselves.
+    conjugate of the one at (-k, n, +), which `get` and `coeffs` derive.
+    from_coeffs writes the anchor amplitudes; Newton never corrects them.
     """
 
     amp: np.ndarray
@@ -69,10 +67,8 @@ class FourierState:
         Rk, Rn = (max((sup_norm(s[j]) for s in values), default=0)
                   for j in (0, 1))
         amp = np.zeros((2 * Rk + 1,) * b + (2 * Rn + 1,) * d, dtype=complex)
-        if values:
-            idx = index_sites(values)
-            amp[_box_at(idx, (Rk,) * b + (Rn,) * d)[:-1]] = \
-                [values[site] for site in idx.sites]
+        for (k, n, _), value in values.items():
+            amp[(*(c + Rk for c in k), *(c + Rn for c in n))] = value
         return cls(amp, b)
 
     @property
@@ -86,22 +82,16 @@ class FourierState:
         return (shape[0] - 1) // 2 if self.b else 0, (shape[self.b] - 1) // 2
 
     @property
-    def layered(self) -> np.ndarray:
-        """Both layers, in index_region's site order on the box: u, then
-        the derived v(k, n) = conj u(-k, n), on a last layer axis."""
-        return np.stack([self.amp, _mirror(self.amp, self.b)], -1)
-
-    @property
     def coeffs(self) -> dict:
-        """The nonzero amplitudes of both layers as {(k, n, xi): value},
-        in box order with + before -."""
+        """The nonzero amplitudes of both layers as {(k, n, xi): value}:
+        each plus entry in box order, followed by its minus mirror."""
         Rk, Rn = self.radii
-        layered = self.layered
-        nz = np.argwhere(layered)
-        return {(tuple(c - Rk for c in row[:self.b]),
-                 tuple(c - Rn for c in row[self.b:-1]), 1 - 2 * row[-1]): value
-                for row, value in zip(nz.tolist(),
-                                      layered[tuple(nz.T)].tolist())}
+        nz = np.argwhere(self.amp)
+        sites = (nz - ([Rk] * self.b + [Rn] * self.d)).tolist()
+        return {(tuple(xi * c for c in row[:self.b]), tuple(row[self.b:]), xi):
+                value if xi > 0 else value.conjugate()
+                for row, value in zip(sites, self.amp[tuple(nz.T)].tolist())
+                for xi in (1, -1)}
 
     def get(self, site: Site) -> complex:
         (Rk, Rn), (k, n, xi) = self.radii, site
@@ -119,18 +109,6 @@ class FourierState:
 def _mirror(arr: np.ndarray, b: int) -> np.ndarray:
     """conj arr(-k, n), k the first b axes: the other layer's values."""
     return np.conj(np.flip(arr, axis=tuple(range(b))))
-
-
-def _box_at(idx: Indexing, radii: Sequence[int]) -> tuple:
-    """Fancy index of the indexed sites in a layered box array centered at
-    the origin with the given radii (k axes, n axes, then + before -)."""
-    return tuple((idx.positions + radii).T) + ((idx.layers < 0).astype(int),)
-
-
-def _gather(state: FourierState, idx: Indexing) -> np.ndarray:
-    """Amplitudes at the indexed sites, zero outside the state's box."""
-    radii = np.abs(idx.positions).max(axis=0)
-    return recenter(state.layered, radii)[_box_at(idx, radii)]
 
 
 def anchor_sites(params: ModelParams) -> dict:
@@ -168,9 +146,9 @@ def _conv(a: np.ndarray, c: np.ndarray, nk: int) -> np.ndarray:
     out = np.zeros(tuple(x + y - 1 for x, y in zip(a.shape[:nk], c.shape[:nk]))
                    + np.broadcast_shapes(a.shape[nk:], c.shape[nk:]),
                    dtype=complex)
-    for j in np.ndindex(a.shape[:nk]):
-        if a[j].any():
-            out[tuple(slice(i, i + w) for i, w in zip(j, c.shape))] += a[j] * c
+    live = np.argwhere(a.reshape(a.shape[:nk] + (-1,)).any(axis=-1))
+    for j in map(tuple, live.tolist()):
+        out[tuple(slice(i, i + w) for i, w in zip(j, c.shape))] += a[j] * c
     return out
 
 
@@ -247,39 +225,32 @@ def solve_Q(state: FourierState, params: ModelParams) -> np.ndarray:
 def linearization_coupling(state: FourierState, params: ModelParams,
                            n_values: Iterable[IntVec],
                            dk_radius: int) -> dict:
-    """Derivative of the nonlinearity as a k-Toplitz, n-diagonal kernel
-    {(dk, n, xi, xi'): value} (see linop.lattice_operator).
-
-    Diagonal layer blocks carry (p+1)(u*v)^p; the cross-layer blocks
-    carry p (u*v)^(p-1) * u * u and its conjugate mirror, plus 0: conj
-    turns the +0 imaginary parts a convolution leaves into -0.  Entries
-    with delta |S| <= _ROUND_OFF eps are cut, mirrors alike; F keeps them.
-    """
+    """Derivative of the plus-layer nonlinearity as a k-Toplitz,
+    n-diagonal kernel {(dk, n, +1, xi'): value} (see
+    linop.lattice_operator): (p+1)(u*v)^p on the plus layer and
+    p (u*v)^(p-1) * u * u on the minus one; the minus rows are their
+    mirror.  Entries with delta |S| <= _ROUND_OFF eps are cut; F keeps
+    them."""
     p, b = params.p, state.b
-    u, v = state.amp, _mirror(state.amp, b)
-    powers = _uv_powers(u, v, b, p)
+    u = state.amp
+    powers = _uv_powers(u, _mirror(u, b), b, p)
     uu = _conv(u, u, b)
     if p >= 2:
         uu = _conv(powers[-2], uu, b)
-    blocks = {
-        (+1, +1): (p + 1) * powers[-1],
-        (-1, -1): (p + 1) * powers[-1],
-        (+1, -1): p * uu,
-        (-1, +1): p * (_mirror(uu, b) + 0),
-    }
+    blocks = {+1: (p + 1) * powers[-1], -1: p * uu}
     Rn = state.radii[1]
     kernel = {}
     for n in n_values:
         if sup_norm(n) > Rn:
             continue
         at = (Ellipsis,) + tuple(c + Rn for c in n)
-        for (xi, xip), arr in blocks.items():
+        for xip, arr in blocks.items():
             window = recenter(arr[at], (dk_radius,) * b)
             nz = np.argwhere(params.delta * np.abs(window)
                              > _ROUND_OFF * params.epsilon)
             for dk, val in zip((nz - dk_radius).tolist(),
                                window[tuple(nz.T)].tolist()):
-                kernel[(tuple(dk), n, xi, xip)] = val
+                kernel[(tuple(dk), n, +1, xip)] = val
     return kernel
 
 
@@ -302,45 +273,56 @@ def _sparse_lu(csc: tuple[np.ndarray, np.ndarray, np.ndarray]):
                      PanelSize=None, Relax=None))
 
 
+def _newton_matrix(state: FourierState, omega: Sequence[float],
+                   params: ModelParams, N: int) -> tuple[np.ndarray, CSR]:
+    """Newton's unknowns, the plus sites of the cube of size N minus the
+    anchors, as (k, n) positions, and the real form of their rows of the
+    layered operator on them and their mirror sites (-k, n, -)."""
+    b, d = params.b, params.d
+    idx = index_region(Region.cube(b + d, N), b,
+                       frozen_mode_sites(params.sites))
+    plus = idx.positions[idx.layers > 0]
+    both = Indexing(np.concatenate([plus, plus * ([-1] * b + [1] * d)]),
+                    np.repeat(np.array([1, -1]), len(plus)), b)
+    S = linearization_coupling(
+        state, params, itertools.product(range(-N, N + 1), repeat=d),
+        dk_radius=2 * N)
+    return plus, real_form(lattice_operator(params, omega, both, 0.0, S),
+                           len(plus))
+
+
 def newton_step(state: FourierState, omega: Sequence[float],
                 params: ModelParams, N: int) -> tuple[FourierState, float]:
     """One Newton correction on the cube of size N, excited sites frozen.
 
-    Builds the linearized operator (diagonal + hopping + nonlinearity
-    coupling) as a sparse matrix on the layered cube minus the excited
-    set, factors it with a sparse LU (SuperLU with a minimum-degree order
-    on A^T + A, called through _sparse_lu), solves for the correction
-    against the current residual, subtracts it from both layers and folds
-    them onto the plus layer with symmetrize.  No dense m x m array is
-    built, except for the SVD that reports the smallest singular value of
-    an exactly singular operator with at most _SVD_MAX_M unknowns; a
-    larger one raises SingularOperatorError with nan.
-    """
-    b, d = params.b, params.d
-    idx = index_region(Region.cube(b + d, N), b,
-                       frozen_mode_sites(params.sites))
-    S = linearization_coupling(
-        state, params, itertools.product(range(-N, N + 1), repeat=d),
-        dk_radius=2 * N)
-    A = lattice_operator(params, omega, idx, 0.0, S)
-    rhs = _gather(evaluate_F(state, omega, params), idx)
+    The plus rows of the layered system read A x + B conj(x) = F in the
+    plus-layer correction x.  _newton_matrix writes them as one real
+    system in (Re x, Im x), which a sparse LU solves (SuperLU with a
+    minimum-degree order on A^T + A, through _sparse_lu); no dense m x m
+    array is built, except for the SVD that reports the smallest singular
+    value of an exactly singular matrix with at most _SVD_MAX_M unknowns
+    (nan above).  x is subtracted from the plus layer."""
+    plus, A = _newton_matrix(state, omega, params, N)
+    Rk, Rn = state.radii
+    radii = (max(Rk, N),) * params.b + (max(Rn, N),) * params.d
+    at = tuple((plus + radii).T)
+    F = recenter(evaluate_F(state, omega, params).amp, radii)[at]
     try:
-        delta = _sparse_lu(A.tocsc()).solve(rhs)
+        x = _sparse_lu(A.tocsc()).solve(np.concatenate([F.real, F.imag]))
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         message = f"linearized operator singular on cube N={N}"
-        if idx.m <= _SVD_MAX_M:
+        if A.m <= _SVD_MAX_M:
             smin = float(np.linalg.svd(A.toarray(), compute_uv=False)[-1])
         else:
             smin = math.nan
             message += (f"; smallest singular value not computed for "
-                        f"m={idx.m} > {_SVD_MAX_M}")
+                        f"m={A.m} > {_SVD_MAX_M}")
         raise SingularOperatorError(message, smin) from exc
-    Rk, Rn = state.radii
-    radii = (max(Rk, N),) * b + (max(Rn, N),) * d
-    layered = recenter(state.layered, radii)
-    layered[_box_at(idx, radii)] -= delta
+    delta = x[:F.size] + 1j * x[F.size:]
+    amp = recenter(state.amp, radii)
+    amp[at] -= delta
     corr = float(np.max(np.abs(delta))) if delta.size else 0.0
-    return symmetrize(layered, b), corr
+    return FourierState(amp, params.b), corr
 
 
 # -- full run ----------------------------------------------------------
@@ -388,8 +370,8 @@ def decay_sum(state: FourierState, params: ModelParams) -> float:
     sum |u(k, n)| exp(|k| + |n|)."""
     Rk, Rn = state.radii
     plus = np.abs(state.amp)
-    plus[_box_at(index_sites(anchor_sites(params)),
-                 (Rk,) * state.b + (Rn,) * state.d)[:-1]] = 0.0
+    for k, n, _ in anchor_sites(params):
+        plus[(*(c + Rk for c in k), *(c + Rn for c in n))] = 0.0
     weight = np.exp(np.add.outer(box_sup_norms(Rk, state.b),
                                  box_sup_norms(Rn, state.d)))
     return float(np.sum(plus * weight))

@@ -155,16 +155,11 @@ class TestAssembleH:
 
 
 def newton_operator(params, N):
-    """The operator newton_step factors on the cube of size N, at the
-    initial state and its solved frequencies."""
-    from qpnls.solver import initial_state, linearization_coupling, solve_Q
+    """The float64 matrix newton_step factors on the cube of size N, at
+    the initial state and its solved frequencies."""
+    from qpnls.solver import _newton_matrix, initial_state, solve_Q
     state = initial_state(params)
-    idx = index_region(Region.cube(params.b + params.d, N), params.b,
-                       frozen_mode_sites(params.sites))
-    S = linearization_coupling(
-        state, params, itertools.product(range(-N, N + 1), repeat=params.d),
-        dk_radius=2 * N)
-    return lattice_operator(params, solve_Q(state, params), idx, 0.0, S)
+    return _newton_matrix(state, solve_Q(state, params), params, N)[1]
 
 
 def assert_same_csr(ours, theirs):
@@ -209,15 +204,21 @@ class TestCSRKernels:
                      a=(1.5,)), 2),
     ], ids=["reference-N4", "b2-N5", "d2-N2"])
     def test_newton_operator_equals_scipy(self, params, N, monkeypatch):
+        # Newton builds the layered operator's CSR, complex, and then its
+        # real form's, float64; the frequency solve before them builds the
+        # residual's.
         built = []
         coo_to_csr = linop._coo_to_csr
         monkeypatch.setattr(linop, "_coo_to_csr",
-                            lambda *args: built.append(args)
-                            or coo_to_csr(*args))
+                            lambda *args: built.append(
+                                (args, coo_to_csr(*args))) or built[-1][1])
         H = newton_operator(params, N)
-        m, rows, cols, vals = built[-1]
-        want = sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
-        assert_same_csr(H, want)
+        assert [args[3].dtype for args, _ in built[-2:]] \
+            == [complex, np.float64]
+        for (m, rows, cols, vals), got in built:
+            want = sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+            assert_same_csr(got, want)
+        assert H is got
         data, indices, indptr = H.tocsc()
         assert_same_csr(sparse.csc_matrix((data, indices, indptr),
                                           shape=(m, m)), want.tocsc())

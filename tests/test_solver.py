@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from qpnls.lattice import (Region, index_region, index_sites, recenter,
-                           sup_norm)
+from qpnls.lattice import (Region, frozen_mode_sites, index_region,
+                           index_sites, recenter, sup_norm)
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 from qpnls import linop, solver
@@ -60,6 +60,25 @@ def d2_params():
                        a=(1.5,))
 
 
+def both_layers(state):
+    """u and the derived v(k, n) = conj u(-k, n) on a last layer axis, +
+    first: index_region's site order on the state's box."""
+    return np.stack([state.amp, solver._mirror(state.amp, state.b)], -1)
+
+
+def layered_at(idx, radii):
+    """Fancy index of the indexed sites in a both_layers array of the
+    given radii."""
+    return tuple((idx.positions + radii).T) + ((idx.layers < 0).astype(int),)
+
+
+def layered_gather(state, idx):
+    """Both layers' amplitudes at the indexed sites, zero outside the
+    state's box."""
+    radii = np.abs(idx.positions).max(axis=0)
+    return recenter(both_layers(state), radii)[layered_at(idx, radii)]
+
+
 def layered_residual(state, omega, params):
     """The residual of both layers, layer axis last, as the layered state
     gave it: the nonlinearity (u*v)^p * u and (u*v)^p * v per layer, and
@@ -67,7 +86,7 @@ def layered_residual(state, omega, params):
     radius widened by one hop in n.  The oracle for the plus-layer
     residual and its derived minus layer."""
     b, d = state.b, state.d
-    layered = state.layered
+    layered = both_layers(state)
     w = solver._uv_powers(layered[..., 0], layered[..., 1], b, params.p)[-1]
     nl = solver._conv(layered, w[..., None], b)
     Rk, Rn = state.radii
@@ -87,6 +106,16 @@ def random_plus_coeffs(rng, b, d, count, k_max=3, n_max=2, scale=1.0):
         n = tuple(int(c) for c in rng.integers(-n_max, n_max + 1, d))
         coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * scale
     return coeffs
+
+
+def complex_state(params, seed):
+    """The anchors and eight random complex amplitudes of size 1e-2 at
+    |k| <= 2, |n| <= 1.  Runs from the real anchors stay real, so only
+    such a state gives Newton's real matrix its off-diagonal blocks."""
+    coeffs = random_plus_coeffs(np.random.default_rng(seed), params.b,
+                                params.d, 8, k_max=2, n_max=1, scale=1e-2)
+    return FourierState.from_coeffs(coeffs, params.b, params.d,
+                                    anchor_sites(params))
 
 
 def with_mirrors(coeffs):
@@ -118,6 +147,49 @@ def coupling_blocks(state, params):
         uu, vv = (solver._conv(powers[-2], w, b) for w in (uu, vv))
     return {(+1, +1): (p + 1) * powers[-1], (-1, -1): (p + 1) * powers[-1],
             (+1, -1): p * uu, (-1, +1): p * vv}
+
+
+def layered_coupling(state, params, n_values, dk_radius):
+    """The coupling kernel of the layered Newton system: all four blocks
+    of coupling_blocks, on the n values of the state's box, with
+    linearization_coupling's cut."""
+    b, Rn = state.b, state.radii[1]
+    blocks = coupling_blocks(state, params)
+    kernel = {}
+    for n in n_values:
+        if sup_norm(n) > Rn:
+            continue
+        at = (Ellipsis,) + tuple(c + Rn for c in n)
+        for (xi, xip), arr in blocks.items():
+            window = recenter(arr[at], (dk_radius,) * b)
+            nz = np.argwhere(params.delta * np.abs(window)
+                             > solver._ROUND_OFF * params.epsilon)
+            for dk, val in zip((nz - dk_radius).tolist(),
+                               window[tuple(nz.T)].tolist()):
+                kernel[(tuple(dk), n, xi, xip)] = val
+    return kernel
+
+
+def layered_newton_step(state, omega, params, N):
+    """The Newton step on both layers: the complex operator on the
+    layered cube minus the frozen anchors with all four coupling blocks,
+    factored by the public splu, its correction subtracted from both
+    layers, which symmetrize folds back onto the plus layer."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+    b, d = params.b, params.d
+    idx = index_region(Region.cube(b + d, N), b,
+                       frozen_mode_sites(params.sites))
+    S = layered_coupling(state, params,
+                         itertools.product(range(-N, N + 1), repeat=d), 2 * N)
+    A = linop.lattice_operator(params, omega, idx, 0.0, S).tocsc()
+    lu = splu(csc_matrix(A, shape=(idx.m, idx.m)), permc_spec="MMD_AT_PLUS_A")
+    delta = lu.solve(layered_gather(evaluate_F(state, omega, params), idx))
+    Rk, Rn = state.radii
+    radii = (max(Rk, N),) * b + (max(Rn, N),) * d
+    layered = recenter(both_layers(state), radii)
+    layered[layered_at(idx, radii)] -= delta
+    return symmetrize(layered, b), float(np.abs(delta).max())
 
 
 def uncut_coupling(state, params, n_values, dk_radius):
@@ -175,7 +247,7 @@ class TestLayout:
             radii = (Rk,) * b + (Rn,) * d
             assert state.amp.shape == tuple(2 * r + 1 for r in radii)
             idx = index_region(Region.box([-r for r in radii], radii), b)
-            flat = state.layered.ravel()
+            flat = both_layers(state).ravel()
             assert flat.size == idx.m
             for i, site in enumerate(idx.sites):
                 assert flat[i] == state.get(site) == want.get(site, 0.0)
@@ -213,7 +285,7 @@ class TestLayout:
                    if sup_norm(s[0]) > Rk or sup_norm(s[1]) > Rn]
         assert len(outside) >= 4 and {s[2] for s in outside} == {-1, 1}
         got = np.array([state.get(site) for site in sites])
-        want = np.array([solver._gather(state, index_sites([site]))[0]
+        want = np.array([layered_gather(state, index_sites([site]))[0]
                          for site in sites])
         assert np.abs(got).max() > 0
         assert_bitwise_equal(got, want)
@@ -244,7 +316,7 @@ class TestInitialState:
         state = initial_state(p)
         assert state.amp.shape == (3, 3, 5)
         assert state.coeffs == with_mirrors(anchor_sites(p))
-        assert np.array_equal(state.layered[..., 1],
+        assert np.array_equal(both_layers(state)[..., 1],
                               np.conj(state.amp[::-1, ::-1]))
         assert certificates_for(state, base_frequencies(p),
                                 p).conjugacy_defect == 0.0
@@ -300,7 +372,7 @@ class TestEvaluateF:
         for params, N_cap in ((reference_params(), 16), (b2_params(), 5)):
             sol = run_solver(params, N_cap=N_cap)
             for state in (initial_state(params), sol.state):
-                res = evaluate_F(state, sol.omega, params).layered
+                res = both_layers(evaluate_F(state, sol.omega, params))
                 want = layered_residual(state, sol.omega, params)
                 assert np.array_equal(res[..., 0], want[..., 0])
                 assert (np.abs(res - want).max()
@@ -504,29 +576,33 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
                              ids=["reference", "b2", "d2", "p2"])
-    def test_coupling_minus_block_is_mirror(self, monkeypatch, params,
-                                            N_cap):
-        # The (-1, +1) block is derived as the mirror of the (+1, -1) one.
-        # At every Newton step of these runs its kernel entries are bitwise
-        # those of the convolution p (u*v)^(p-1) * v * v it replaces.
-        seen = []
+    def test_matches_layered_step(self, monkeypatch, params, N_cap):
+        # Newton on the plus layer's real system stops for the same reason
+        # after as many steps as the layered complex step folded back by
+        # symmetrize, at amplitudes within 1e-20 of its.
+        real = run_solver(params, N_cap=N_cap)
+        monkeypatch.setattr(solver, "newton_step", layered_newton_step)
+        layered = run_solver(params, N_cap=N_cap)
+        assert (real.stop_reason, real.newton_steps) \
+            == (layered.stop_reason, layered.newton_steps)
+        assert real.newton_steps >= 3
+        assert real.state.amp.shape == layered.state.amp.shape
+        assert np.abs(real.state.amp - layered.state.amp).max() <= 1e-20
 
-        def checked(state, params, n_values, dk_radius):
-            want = coupling_blocks(state, params)[(-1, +1)]
-            centre = [(s - 1) // 2 for s in want.shape]
-            kernel = linearization_coupling(state, params, list(n_values),
-                                            dk_radius)
-            minus = [(val, want[tuple(np.add(dk + n, centre))])
-                     for (dk, n, xi, xip), val in kernel.items()
-                     if (xi, xip) == (-1, +1)]
-            assert minus
-            assert_bitwise_equal(*np.array(minus).T)
-            seen.append(kernel)
-            return kernel
-
-        monkeypatch.setattr(solver, "linearization_coupling", checked)
-        run_solver(params, N_cap=N_cap)
-        assert len(seen) >= 2
+    @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
+                             ids=["reference", "b2", "d2", "p2"])
+    def test_step_matches_layered_step_on_complex_state(self, params, N_cap):
+        # The runs above stay real, so they leave the real system's
+        # off-diagonal blocks empty; one step from complex amplitudes
+        # checks them against the layered step.
+        state = complex_state(params, 41)
+        om = solve_Q(state, params)
+        real, corr = newton_step(state, om, params, 2)
+        layered, want = layered_newton_step(state, om, params, 2)
+        assert corr == pytest.approx(want, rel=1e-12)
+        # Both are direct solves; small divisors amplify their round-off.
+        assert np.abs(real.amp - layered.amp).max() \
+            <= 1e-14 * np.abs(real.amp).max()
 
     @pytest.mark.parametrize("params, N_cap", [PARITY_CASES[1],
                                                PARITY_CASES[3]],
@@ -555,19 +631,35 @@ class TestNewtonStep:
         if params.b == 2:
             assert sum(k for k, _ in sizes) < sum(n for _, n in sizes)
 
-    def test_coupling_hermitian_in_assembly(self):
-        from qpnls.lattice import frozen_mode_sites
-        from qpnls.linop import assemble_H
-        p = reference_params()
-        state = initial_state(p)
-        om = base_frequencies(p)
-        reg = Region.cube(2, 2)
-        n_vals = {y[1:] for y in reg.sites()}
-        S = linearization_coupling(state, p, n_vals, dk_radius=4)
-        op = assemble_H(p, om, reg, 0.0, S,
-                        exclude=frozen_mode_sites(p.sites))
-        H = op.matrix
-        assert np.linalg.norm(H - H.conj().T) <= 1e-12 * np.linalg.norm(H)
+    def test_coupling_hermitian_in_assembly(self, monkeypatch):
+        # The layered operator is Hermitian and its block on the mirror
+        # sites complex symmetric, so the float64 matrix of every Newton
+        # step equals its transpose, bitwise: its CSR arrays are its CSC
+        # arrays.
+        seen, newton_matrix = [], solver._newton_matrix
+
+        def checked(*args):
+            plus, A = newton_matrix(*args)
+            assert A.data.dtype == np.float64 and A.m == 2 * len(plus)
+            for got, want in zip(A.tocsc(), (A.data, A.indices, A.indptr)):
+                assert np.array_equal(got, want)
+            seen.append(A.m)
+            return plus, A
+
+        monkeypatch.setattr(solver, "_newton_matrix", checked)
+        for params, N_cap in (PARITY_CASES[0], PARITY_CASES[1],
+                              PARITY_CASES[3]):
+            run_solver(params, N_cap=N_cap)
+        assert len(seen) == 11
+        # Those runs stay real.  On complex amplitudes the convolutions
+        # round in another order per entry, so the transpose agrees to
+        # round-off.
+        for seed, (params, _) in enumerate(PARITY_CASES):
+            state = complex_state(params, seed)
+            _, A = newton_matrix(state, solve_Q(state, params), params, 2)
+            M = A.toarray()
+            assert np.abs(M[:len(M) // 2, len(M) // 2:]).max() > 0
+            assert np.abs(M - M.T).max() <= 1e-15 * np.abs(M).max()
 
     def test_quadratic_remainder(self):
         # the post-step residual is second order in the correction size
@@ -606,21 +698,21 @@ class TestNewtonStep:
         (d2_params(), 2),
     ], ids=["reference", "b2", "d2"])
     def test_correction_matches_dense_solve(self, params, N):
-        from qpnls.lattice import frozen_mode_sites
         from qpnls.linop import assemble_H
-        state = initial_state(params)
+        state = complex_state(params, 43)
         om = solve_Q(state, params)
-        S = linearization_coupling(
+        S = layered_coupling(
             state, params,
             itertools.product(range(-N, N + 1), repeat=params.d),
             dk_radius=2 * N)
         op = assemble_H(params, om, Region.cube(params.b + params.d, N),
                         0.0, S, exclude=frozen_mode_sites(params.sites))
-        rhs = solver._gather(evaluate_F(state, om, params), op.indexing)
+        rhs = layered_gather(evaluate_F(state, om, params), op.indexing)
         dense = np.linalg.solve(op.matrix, rhs)
         new, corr = newton_step(state, om, params, N)
-        # The initial state is zero off the frozen anchors.
-        sparse = -solver._gather(new, op.indexing)
+        # Both layers of the correction are read from the plus layer.
+        sparse = (layered_gather(state, op.indexing)
+                  - layered_gather(new, op.indexing))
         scale = np.abs(dense).max()
         assert scale > 0
         assert np.abs(sparse - dense).max() <= 1e-12 * scale
@@ -633,36 +725,33 @@ class TestNewtonStep:
         (d2_params(), 2),
     ], ids=["reference-N4", "b2-N2", "b2-N5", "d2-N2"])
     def test_correction_bitwise_equals_public_splu(self, params, N):
-        # newton_step calls SuperLU's gstrf itself; it must factor exactly
-        # as the public splu with the same column order does.
+        # newton_step calls SuperLU's gstrf itself on its float64 matrix;
+        # it must factor exactly as the public splu with the same column
+        # order does.
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
-        from qpnls.lattice import frozen_mode_sites
-        from qpnls.linop import lattice_operator
-        state = initial_state(params)
+        state = complex_state(params, 47)
         om = solve_Q(state, params)
-        idx = index_region(Region.cube(params.b + params.d, N), params.b,
-                           frozen_mode_sites(params.sites))
-        S = linearization_coupling(
-            state, params,
-            itertools.product(range(-N, N + 1), repeat=params.d),
-            dk_radius=2 * N)
-        A = lattice_operator(params, om, idx, 0.0, S).tocsc()
-        rhs = solver._gather(evaluate_F(state, om, params), idx)
-        lu = splu(csc_matrix(A, shape=(idx.m, idx.m)),
-                  permc_spec="MMD_AT_PLUS_A")
-        delta = lu.solve(rhs)
-        assert np.array_equal(solver._sparse_lu(A).solve(rhs), delta)
-        # newton_step subtracts that correction from both layers and folds
-        # them onto the plus layer.
-        new, _ = newton_step(state, om, params, N)
+        plus, A = solver._newton_matrix(state, om, params, N)
+        csc = A.tocsc()
+        assert csc[0].dtype == np.float64 and A.m == 2 * len(plus)
         Rk, Rn = state.radii
         radii = (max(Rk, N),) * params.b + (max(Rn, N),) * params.d
-        layered = recenter(state.layered, radii)
-        layered[solver._box_at(idx, radii)] -= delta
-        assert_bitwise_equal(new.amp, symmetrize(layered, params.b).amp)
+        at = tuple((plus + radii).T)
+        F = recenter(evaluate_F(state, om, params).amp, radii)[at]
+        rhs = np.concatenate([F.real, F.imag])
+        lu = splu(csc_matrix(csc, shape=(A.m, A.m)),
+                  permc_spec="MMD_AT_PLUS_A")
+        x = lu.solve(rhs)
+        assert np.array_equal(solver._sparse_lu(csc).solve(rhs), x)
+        # newton_step subtracts x's real and imaginary halves from the plus
+        # layer at those sites.
+        new, _ = newton_step(state, om, params, N)
+        want = recenter(state.amp, radii)
+        want[at] -= x[:len(plus)] + 1j * x[len(plus):]
+        assert_bitwise_equal(new.amp, want)
         # The adjoint solve an a posteriori bound would use agrees too.
-        assert np.array_equal(solver._sparse_lu(A).solve(rhs, trans="H"),
+        assert np.array_equal(solver._sparse_lu(csc).solve(rhs, trans="H"),
                               lu.solve(rhs, trans="H"))
 
     @pytest.mark.parametrize("name, held_by_scipy, qpnls_first", [
@@ -703,7 +792,7 @@ class TestSymmetrize:
         for b, d in ((1, 1), (2, 1)):
             state = FourierState.from_coeffs(
                 random_plus_coeffs(rng, b, d, 10), b, d, {})
-            assert_bitwise_equal(symmetrize(state.layered, b).amp,
+            assert_bitwise_equal(symmetrize(both_layers(state), b).amp,
                                  state.amp)
 
     def test_fills_missing_mirror_with_average(self):
@@ -718,7 +807,7 @@ class TestSymmetrize:
         layered = (rng.standard_normal((7, 5, 2))
                    + 1j * rng.standard_normal((7, 5, 2)))
         once = symmetrize(layered, 1)
-        assert_bitwise_equal(symmetrize(once.layered, 1).amp, once.amp)
+        assert_bitwise_equal(symmetrize(both_layers(once), 1).amp, once.amp)
 
 
 class TestRunSolver:

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .lattice import (Indexing, Region, Site, box_sup_norms,
                       frozen_mode_sites, index_region, recenter, sup_norm)
-from .linop import (CSR, SingularOperatorError, _scipy_extension,
-                    box_operator, lattice_operator, real_form)
+from .linop import (CSR, SingularOperatorError, _real_block,
+                    _scipy_extension, box_operator, lattice_operator,
+                    real_form)
 from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
@@ -51,10 +52,20 @@ class FourierState:
     minus layer is not stored: its coefficient at (k, n, -) is the
     conjugate of the one at (-k, n, +), which `get` and `coeffs` derive.
     from_coeffs writes the anchor amplitudes; Newton never corrects them.
+    _convolved keeps the state's convolutions: amp is not written after.
     """
 
     amp: np.ndarray
     b: int
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _convolved(self, p: int) -> tuple[list[np.ndarray], "FourierState"]:
+        """[(u*v)^1, ..., (u*v)^p] and (u*v)^p * u, computed once per p."""
+        if p not in self._kept:
+            w = _uv_powers(self.amp, _mirror(self.amp, self.b), self.b, p)
+            self._kept[p] = w, FourierState(_conv(self.amp, w[-1], self.b),
+                                            self.b)
+        return self._kept[p]
 
     @classmethod
     def from_coeffs(cls, coeffs: dict, b: int, d: int,
@@ -165,11 +176,10 @@ def convolution_nonlinearity(state: FourierState, p: int) -> FourierState:
     """The plus layer's nonlinear term (u*v)^p * u, convolving in k at
     each fixed n; the minus layer's (u*v)^p * v is its conjugate mirror.
 
-    The result lives on the state's n box and k radius (2p+1) Rk.
+    The result lives on the state's n box and k radius (2p+1) Rk.  The
+    state keeps it: each call with this p returns the same object.
     """
-    b = state.b
-    w = _uv_powers(state.amp, _mirror(state.amp, b), b, p)[-1]
-    return FourierState(_conv(state.amp, w, b), b)
+    return state._convolved(p)[1]
 
 
 # -- residual ----------------------------------------------------------
@@ -233,7 +243,7 @@ def linearization_coupling(state: FourierState, params: ModelParams,
     them."""
     p, b = params.p, state.b
     u = state.amp
-    powers = _uv_powers(u, _mirror(u, b), b, p)
+    powers = state._convolved(p)[0]
     uu = _conv(u, u, b)
     if p >= 2:
         uu = _conv(powers[-2], uu, b)
@@ -277,7 +287,9 @@ def _newton_matrix(state: FourierState, omega: Sequence[float],
                    params: ModelParams, N: int) -> tuple[np.ndarray, CSR]:
     """Newton's unknowns, the plus sites of the cube of size N minus the
     anchors, as (k, n) positions, and the real form of their rows of the
-    layered operator on them and their mirror sites (-k, n, -)."""
+    layered operator on them and their mirror sites (-k, n, -).  On a
+    real state that form is diag(Ar + Br, Ar - Br), so only the P x P
+    block Ar + Br is returned."""
     b, d = params.b, params.d
     idx = index_region(Region.cube(b + d, N), b,
                        frozen_mode_sites(params.sites))
@@ -287,8 +299,9 @@ def _newton_matrix(state: FourierState, omega: Sequence[float],
     S = linearization_coupling(
         state, params, itertools.product(range(-N, N + 1), repeat=d),
         dk_radius=2 * N)
-    return plus, real_form(lattice_operator(params, omega, both, 0.0, S),
-                           len(plus))
+    fold = _real_block if not state.amp.imag.any() else real_form
+    return plus, fold(lattice_operator(params, omega, both, 0.0, S),
+                      len(plus))
 
 
 def newton_step(state: FourierState, omega: Sequence[float],
@@ -297,28 +310,33 @@ def newton_step(state: FourierState, omega: Sequence[float],
 
     The plus rows of the layered system read A x + B conj(x) = F in the
     plus-layer correction x.  _newton_matrix writes them as one real
-    system in (Re x, Im x), which a sparse LU solves (SuperLU with a
-    minimum-degree order on A^T + A, through _sparse_lu); no dense m x m
+    system in (Re x, Im x), 2P unknowns, which a sparse LU solves
+    (SuperLU with a minimum-degree order on A^T + A, through _sparse_lu).
+    On a real state A, B and F are real, so Im x = 0 and only Ar + Br, P
+    unknowns, is factored (and checked for singularity).  No dense m x m
     array is built, except for the SVD that reports the smallest singular
-    value of an exactly singular matrix with at most _SVD_MAX_M unknowns
-    (nan above).  x is subtracted from the plus layer."""
+    value of an exactly singular, finite matrix with at most _SVD_MAX_M
+    unknowns (nan otherwise).  x is subtracted from the plus layer."""
     plus, A = _newton_matrix(state, omega, params, N)
     Rk, Rn = state.radii
     radii = (max(Rk, N),) * params.b + (max(Rn, N),) * params.d
     at = tuple((plus + radii).T)
     F = recenter(evaluate_F(state, omega, params).amp, radii)[at]
+    real = A.m == F.size  # _newton_matrix's block Ar + Br alone
     try:
-        x = _sparse_lu(A.tocsc()).solve(np.concatenate([F.real, F.imag]))
+        x = _sparse_lu(A.tocsc()).solve(
+            F.real if real else np.concatenate([F.real, F.imag]))
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
-        message = f"linearized operator singular on cube N={N}"
-        if A.m <= _SVD_MAX_M:
+        message, smin = f"linearized operator singular on cube N={N}", math.nan
+        if not np.isfinite(A.data).all():
+            message += "; the matrix is not finite"
+        elif A.m <= _SVD_MAX_M:
             smin = float(np.linalg.svd(A.toarray(), compute_uv=False)[-1])
         else:
-            smin = math.nan
             message += (f"; smallest singular value not computed for "
                         f"m={A.m} > {_SVD_MAX_M}")
         raise SingularOperatorError(message, smin) from exc
-    delta = x[:F.size] + 1j * x[F.size:]
+    delta = x if real else x[:F.size] + 1j * x[F.size:]
     amp = recenter(state.amp, radii)
     amp[at] -= delta
     corr = float(np.max(np.abs(delta))) if delta.size else 0.0
@@ -407,6 +425,8 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
     state = initial_state(params)
     omega = solve_Q(state, params)
     res = residual_sup(evaluate_F(state, omega, params))
+    if not math.isfinite(res):
+        raise DivergedError("non-finite initial residual", NewtonTrace(()))
     steps = []
     growth = 0
     for r in range(r_max):

@@ -249,6 +249,18 @@ class TestCli:
         assert manifest["stages"]["solve"]["status"] == "numeric-error"
         assert "grew twice" in manifest["stages"]["solve"]["error"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_amplitude_exit_code(self, tmp_path):
+        # (u*v) u overflows at a = 1e150, so the first residual is not
+        # finite; the solve stops there instead of factoring it.
+        code = main(["all", "--set", "params.a=[1e150]",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["stages"]["solve"]["status"] == "numeric-error"
+        assert "non-finite initial residual" \
+            in manifest["stages"]["solve"]["error"]
+
     def test_acceptance_exit_code(self, tmp_path):
         # A threshold of (eps + delta)^0.2 is violated by some separations.
         code = main(["dioph", "--set", "dioph.threshold_exp=0.2",

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from qpnls.lattice import (Region, frozen_mode_sites, index_region,
-                           index_sites, recenter, sup_norm)
+from qpnls.lattice import (Indexing, Region, frozen_mode_sites,
+                           index_region, index_sites, recenter, sup_norm)
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 from qpnls import linop, solver
@@ -50,6 +50,13 @@ def b2_params():
     return ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
                        theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
                        sites=((0,), (2,)), a=(1.5, 1.2))
+
+
+def b3_params():
+    """Three excited sites (b = 3)."""
+    return ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
+                       theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
+                       sites=((0,), (2,), (-3,)), a=(1.5, 1.2, 1.0))
 
 
 def d2_params():
@@ -190,6 +197,32 @@ def layered_newton_step(state, omega, params, N):
     layered = recenter(both_layers(state), radii)
     layered[layered_at(idx, radii)] -= delta
     return symmetrize(layered, b), float(np.abs(delta).max())
+
+
+def real_form_newton_step(state, omega, params, N):
+    """The Newton step on the whole real form, 2P unknowns, whatever the
+    state: [[Ar + Br, Bi - Ai], [Ai + Bi, Ar - Br]] on the plus sites and
+    their mirrors, factored by _sparse_lu, x's halves subtracted from the
+    plus layer as real and imaginary parts.  Returns the new state and x."""
+    b, d = params.b, params.d
+    idx = index_region(Region.cube(b + d, N), b,
+                       frozen_mode_sites(params.sites))
+    plus = idx.positions[idx.layers > 0]
+    P = len(plus)
+    both = Indexing(np.concatenate([plus, plus * ([-1] * b + [1] * d)]),
+                    np.repeat(np.array([1, -1]), P), b)
+    S = linearization_coupling(
+        state, params, itertools.product(range(-N, N + 1), repeat=d), 2 * N)
+    A = linop.real_form(linop.lattice_operator(params, omega, both, 0.0, S),
+                        P)
+    Rk, Rn = state.radii
+    radii = (max(Rk, N),) * b + (max(Rn, N),) * d
+    at = tuple((plus + radii).T)
+    F = recenter(evaluate_F(state, omega, params).amp, radii)[at]
+    x = solver._sparse_lu(A.tocsc()).solve(np.concatenate([F.real, F.imag]))
+    amp = recenter(state.amp, radii)
+    amp[at] -= x[:P] + 1j * x[P:]
+    return FourierState(amp, b), x
 
 
 def uncut_coupling(state, params, n_values, dk_radius):
@@ -346,6 +379,39 @@ class TestConvolution:
             for key in keys:
                 assert fast.get(key, 0.0) == pytest.approx(
                     slow.get(key, 0.0), abs=1e-12)
+
+
+class TestKeptConvolutions:
+    def test_kept_equal_fresh(self):
+        # A state computes its powers and nonlinearity once per p; the kept
+        # values are bitwise the ones computed afresh from amp.
+        for params, N_cap in PARITY_CASES:
+            state = run_solver(params, N_cap=N_cap).state
+            u, v = state.amp, solver._mirror(state.amp, state.b)
+            for p in (1, 2, 3):
+                nl = convolution_nonlinearity(state, p)
+                assert convolution_nonlinearity(state, p) is nl
+                fresh = solver._uv_powers(u, v, state.b, p)
+                kept = state._convolved(p)[0]
+                assert len(kept) == p
+                for got, want in zip(kept, fresh):
+                    assert_bitwise_equal(got, want)
+                assert_bitwise_equal(
+                    nl.amp, solver._conv(u, fresh[-1], state.b))
+
+    def test_solve_b2_convolves_each_state_once(self, monkeypatch):
+        # The benchmark's b = 2 solve has four states: the seed and three
+        # Newton steps.  Each is convolved for u*v and (u*v) u once, and
+        # each of the first three for u*u once more, for the coupling.
+        calls, conv = [], solver._conv
+
+        def counted(*args):
+            calls.append(1)
+            return conv(*args)
+
+        monkeypatch.setattr(solver, "_conv", counted)
+        assert run_solver(b2_params(), N_cap=5).newton_steps == 3
+        assert len(calls) == 11
 
 
 class TestEvaluateF:
@@ -635,12 +701,13 @@ class TestNewtonStep:
         # The layered operator is Hermitian and its block on the mirror
         # sites complex symmetric, so the float64 matrix of every Newton
         # step equals its transpose, bitwise: its CSR arrays are its CSC
-        # arrays.
+        # arrays.  The runs stay real, so each step factors the P x P
+        # block Ar + Br alone.
         seen, newton_matrix = [], solver._newton_matrix
 
         def checked(*args):
             plus, A = newton_matrix(*args)
-            assert A.data.dtype == np.float64 and A.m == 2 * len(plus)
+            assert A.data.dtype == np.float64 and A.m == len(plus)
             for got, want in zip(A.tocsc(), (A.data, A.indices, A.indptr)):
                 assert np.array_equal(got, want)
             seen.append(A.m)
@@ -651,12 +718,13 @@ class TestNewtonStep:
                               PARITY_CASES[3]):
             run_solver(params, N_cap=N_cap)
         assert len(seen) == 11
-        # Those runs stay real.  On complex amplitudes the convolutions
-        # round in another order per entry, so the transpose agrees to
-        # round-off.
+        # On complex amplitudes the matrix has 2P unknowns and the
+        # convolutions round in another order per entry, so the transpose
+        # agrees to round-off.
         for seed, (params, _) in enumerate(PARITY_CASES):
             state = complex_state(params, seed)
-            _, A = newton_matrix(state, solve_Q(state, params), params, 2)
+            plus, A = newton_matrix(state, solve_Q(state, params), params, 2)
+            assert A.m == 2 * len(plus)
             M = A.toarray()
             assert np.abs(M[:len(M) // 2, len(M) // 2:]).max() > 0
             assert np.abs(M - M.T).max() <= 1e-15 * np.abs(M).max()
@@ -683,14 +751,77 @@ class TestNewtonStep:
         assert err.value.smallest_singular_value == 0.0
 
     def test_singular_above_svd_cutoff_reports_nan(self, monkeypatch):
-        # The same zero row, with the dense-SVD cutoff below m = 48.
+        # The same zero row, with the dense-SVD cutoff below m = 24: the
+        # state is real, so only Ar + Br, one row per plus unknown, is
+        # factored.
         from qpnls.linop import SingularOperatorError
         monkeypatch.setattr(solver, "_SVD_MAX_M", 10)
         p = reference_params(0.0, 0.0)
         with pytest.raises(SingularOperatorError) as err:
             newton_step(initial_state(p), [p.mu_n((1,))], p, N=2)
         assert math.isnan(err.value.smallest_singular_value)
-        assert "not computed for m=48" in str(err.value)
+        assert "not computed for m=24" in str(err.value)
+
+    def test_non_finite_operator_reports_nan(self):
+        # An amplitude of 1e150 makes (u*v) u overflow, so omega and the
+        # matrix are not finite; SuperLU refuses it, and no SVD is run.
+        from qpnls.linop import SingularOperatorError
+        p = dataclasses.replace(reference_params(), a=(1e150,))
+        state = initial_state(p)
+        with np.errstate(all="ignore"):
+            omega = solve_Q(state, p)
+            with pytest.raises(SingularOperatorError) as err:
+                newton_step(state, omega, p, N=2)
+        assert math.isnan(err.value.smallest_singular_value)
+        assert "not finite" in str(err.value)
+
+    @pytest.mark.parametrize("params, N_cap",
+                             PARITY_CASES + [(b3_params(), 6)],
+                             ids=["reference", "b2", "d2", "p2", "b3"])
+    def test_real_block_equals_real_form_solve(self, monkeypatch, params,
+                                               N_cap):
+        # On a real state the real form is diag(Ar + Br, Ar - Br) with a
+        # zero lower right-hand side, so factoring Ar + Br alone gives the
+        # whole solve's correction, bitwise, at every step of a run.
+        sizes, newton_matrix = [], solver._newton_matrix
+
+        def recorded(*args):
+            plus, A = newton_matrix(*args)
+            sizes.append((A.m, len(plus)))
+            return plus, A
+
+        def checked(state, omega, params, N):
+            assert not state.amp.imag.any()
+            new, corr = newton_step(state, omega, params, N)
+            want, x = real_form_newton_step(state, omega, params, N)
+            P = sizes[-1][1]
+            assert not x[P:].any()
+            assert_bitwise_equal(new.amp, want.amp)
+            assert corr == np.abs(x).max()
+            return new, corr
+
+        monkeypatch.setattr(solver, "_newton_matrix", recorded)
+        monkeypatch.setattr(solver, "newton_step", checked)
+        sol = run_solver(params, N_cap=N_cap)
+        assert sol.converged and len(sizes) == sol.newton_steps >= 3
+        assert all(m == P for m, P in sizes)
+
+    def test_complex_state_factors_both_halves(self, monkeypatch):
+        # A complex state keeps the 2P real form, off-diagonal blocks and
+        # all.
+        factored, sparse_lu = [], solver._sparse_lu
+
+        def recorded(csc):
+            factored.append(csc[2].size - 1)
+            return sparse_lu(csc)
+
+        monkeypatch.setattr(solver, "_sparse_lu", recorded)
+        for seed, (params, _) in enumerate(PARITY_CASES):
+            state = complex_state(params, seed)
+            plus, _ = solver._newton_matrix(state, solve_Q(state, params),
+                                            params, 2)
+            newton_step(state, solve_Q(state, params), params, 2)
+            assert factored[-1] == 2 * len(plus)
 
     @pytest.mark.parametrize("params, N", [
         (reference_params(), 4),
@@ -873,10 +1004,7 @@ class TestRunSolver:
     def test_b3_converges_with_cut_kernel(self):
         # Three excited sites: the last cube, N = 6, has 57,116 unknowns.
         # On the uncut kernel this solve peaked at about 0.7 GB.
-        p = ModelParams(V=TrigPoly.cosine(1), alpha=(0.4142135623,),
-                        theta=(0.17,), epsilon=1e-3, delta=1e-3, p=1,
-                        sites=((0,), (2,), (-3,)), a=(1.5, 1.2, 1.0))
-        sol = run_solver(p, N_cap=6)
+        sol = run_solver(b3_params(), N_cap=6)
         assert sol.converged and sol.newton_steps == 3
         assert sol.trace.steps[-1]["N"] == 6
         assert sol.certificates.residual < 1e-11

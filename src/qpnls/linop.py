@@ -225,33 +225,6 @@ def _coo_to_csr(m: int, rows: np.ndarray, cols: np.ndarray,
     return CSR(data, indices, indptr)
 
 
-def real_form(A: CSR, P: int) -> CSR:
-    """The first P rows of A, whose columns are P sites and then their P
-    mirrors holding conj(x), as one real 2P x 2P matrix on (Re x, Im x):
-    a x + c conj(x) is [[ar + cr, ci - ai], [ai + ci, ar - cr]] for the
-    column blocks a and c.  Exact zeros are left out.  A real A makes it
-    block diagonal; _real_block builds its leading block alone."""
-    stop = A.indptr[P]
-    rows = np.repeat(np.arange(P), np.diff(A.indptr[:P + 1]))
-    mirror, cols = np.divmod(A.indices[:stop], P)
-    sign = 1.0 - 2.0 * mirror
-    re, im = A.data[:stop].real, A.data[:stop].imag
-    rows = np.concatenate([rows, rows, rows + P, rows + P])
-    cols = np.concatenate([cols, cols + P, cols, cols + P])
-    vals = np.concatenate([re, -sign * im, im, sign * re])
-    keep = vals != 0.0
-    return _coo_to_csr(2 * P, rows[keep], cols[keep], vals[keep])
-
-
-def _real_block(A: CSR, P: int) -> CSR:
-    """real_form's leading P x P block ar + cr, bitwise, built alone."""
-    stop = A.indptr[P]
-    rows = np.repeat(np.arange(P), np.diff(A.indptr[:P + 1]))
-    vals = A.data[:stop].real
-    keep = vals != 0.0
-    return _coo_to_csr(P, rows[keep], A.indices[:stop][keep] % P, vals[keep])
-
-
 def lattice_operator(params: ModelParams, omega: Sequence[float],
                      idx: Indexing, sigma: float = 0.0,
                      S: Optional[dict] = None) -> CSR:

@@ -18,9 +18,8 @@ import numpy as np
 
 from .lattice import (Indexing, Region, Site, box_sup_norms,
                       frozen_mode_sites, index_region, recenter, sup_norm)
-from .linop import (CSR, SingularOperatorError, _real_block,
-                    _scipy_extension, box_operator, lattice_operator,
-                    real_form)
+from .linop import (CSR, SingularOperatorError, _coo_to_csr,
+                    _scipy_extension, box_operator, lattice_operator)
 from .potential import ModelParams, base_frequencies
 
 IntVec = tuple[int, ...]
@@ -286,22 +285,28 @@ def _sparse_lu(csc: tuple[np.ndarray, np.ndarray, np.ndarray]):
 def _newton_matrix(state: FourierState, omega: Sequence[float],
                    params: ModelParams, N: int) -> tuple[np.ndarray, CSR]:
     """Newton's unknowns, the plus sites of the cube of size N minus the
-    anchors, as (k, n) positions, and the real form of their rows of the
-    layered operator on them and their mirror sites (-k, n, -).  On a
-    real state that form is diag(Ar + Br, Ar - Br), so only the P x P
-    block Ar + Br is returned."""
+    anchors, as (k, n) positions, and the float64 P x P matrix Ar + Br.
+    lattice_operator builds the layered operator on the P plus sites and
+    then their P mirror sites (-k, n, -); the plus rows read A x + B conj(x),
+    and on a real state A, B and x are real, so column j + P folds onto
+    column j.  Exact zeros are left out."""
     b, d = params.b, params.d
     idx = index_region(Region.cube(b + d, N), b,
                        frozen_mode_sites(params.sites))
     plus = idx.positions[idx.layers > 0]
+    P = len(plus)
     both = Indexing(np.concatenate([plus, plus * ([-1] * b + [1] * d)]),
-                    np.repeat(np.array([1, -1]), len(plus)), b)
+                    np.repeat(np.array([1, -1]), P), b)
     S = linearization_coupling(
         state, params, itertools.product(range(-N, N + 1), repeat=d),
         dk_radius=2 * N)
-    fold = _real_block if not state.amp.imag.any() else real_form
-    return plus, fold(lattice_operator(params, omega, both, 0.0, S),
-                      len(plus))
+    A = lattice_operator(params, omega, both, 0.0, S)
+    stop = A.indptr[P]
+    rows = np.repeat(np.arange(P), np.diff(A.indptr[:P + 1]))
+    vals = A.data[:stop].real
+    keep = vals != 0.0
+    return plus, _coo_to_csr(P, rows[keep], A.indices[:stop][keep] % P,
+                             vals[keep])
 
 
 def newton_step(state: FourierState, omega: Sequence[float],
@@ -309,23 +314,23 @@ def newton_step(state: FourierState, omega: Sequence[float],
     """One Newton correction on the cube of size N, excited sites frozen.
 
     The plus rows of the layered system read A x + B conj(x) = F in the
-    plus-layer correction x.  _newton_matrix writes them as one real
-    system in (Re x, Im x), 2P unknowns, which a sparse LU solves
-    (SuperLU with a minimum-degree order on A^T + A, through _sparse_lu).
-    On a real state A, B and F are real, so Im x = 0 and only Ar + Br, P
-    unknowns, is factored (and checked for singularity).  No dense m x m
-    array is built, except for the SVD that reports the smallest singular
-    value of an exactly singular, finite matrix with at most _SVD_MAX_M
-    unknowns (nan otherwise).  x is subtracted from the plus layer."""
+    plus-layer correction x.  Every state from the real anchors is real,
+    so A, B, F and x are, and the system is Ar + Br, P unknowns
+    (_newton_matrix), which a sparse LU solves (SuperLU with a
+    minimum-degree order on A^T + A, through _sparse_lu).  A complex
+    state raises ValueError.  No dense m x m array is built, except for
+    the SVD that reports the smallest singular value of an exactly
+    singular, finite matrix with at most _SVD_MAX_M unknowns (nan
+    otherwise).  x is subtracted from the plus layer."""
+    if state.amp.imag.any():
+        raise ValueError("newton_step takes a real state")
     plus, A = _newton_matrix(state, omega, params, N)
     Rk, Rn = state.radii
     radii = (max(Rk, N),) * params.b + (max(Rn, N),) * params.d
     at = tuple((plus + radii).T)
     F = recenter(evaluate_F(state, omega, params).amp, radii)[at]
-    real = A.m == F.size  # _newton_matrix's block Ar + Br alone
     try:
-        x = _sparse_lu(A.tocsc()).solve(
-            F.real if real else np.concatenate([F.real, F.imag]))
+        x = _sparse_lu(A.tocsc()).solve(F.real)
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         message, smin = f"linearized operator singular on cube N={N}", math.nan
         if not np.isfinite(A.data).all():
@@ -336,10 +341,9 @@ def newton_step(state: FourierState, omega: Sequence[float],
             message += (f"; smallest singular value not computed for "
                         f"m={A.m} > {_SVD_MAX_M}")
         raise SingularOperatorError(message, smin) from exc
-    delta = x if real else x[:F.size] + 1j * x[F.size:]
     amp = recenter(state.amp, radii)
-    amp[at] -= delta
-    corr = float(np.max(np.abs(delta))) if delta.size else 0.0
+    amp[at] -= x
+    corr = float(np.max(np.abs(x))) if x.size else 0.0
     return FourierState(amp, params.b), corr
 
 
@@ -413,6 +417,7 @@ class DivergedError(RuntimeError):
         self.trace = trace
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
                tol: float = 1e-11, N_cap: int = 16) -> Solution:
     """Newton corrections on growing cubes N_r = min(M^(r+1), N_cap)
@@ -420,7 +425,8 @@ def run_solver(params: ModelParams, M: int = 2, r_max: int = 10,
     each state before the next step.
 
     Divergence (residual growth beyond round-off on two consecutive
-    steps) aborts with the trace.
+    steps) and overflow (a non-finite residual or correction, numpy's
+    warnings silenced) abort with the trace.
     """
     state = initial_state(params)
     omega = solve_Q(state, params)

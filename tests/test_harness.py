@@ -249,7 +249,7 @@ class TestCli:
         assert manifest["stages"]["solve"]["status"] == "numeric-error"
         assert "grew twice" in manifest["stages"]["solve"]["error"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_amplitude_exit_code(self, tmp_path):
         # (u*v) u overflows at a = 1e150, so the first residual is not
         # finite; the solve stops there instead of factoring it.
@@ -260,6 +260,17 @@ class TestCli:
         assert manifest["stages"]["solve"]["status"] == "numeric-error"
         assert "non-finite initial residual" \
             in manifest["stages"]["solve"]["error"]
+
+    @pytest.mark.parametrize("a", ["1e120", "1e150", "1e200"])
+    def test_overflow_leaves_stderr_clean(self, tmp_path, a):
+        # The solver's finiteness checks report the overflow, exit 3;
+        # numpy's warnings about it are silenced.
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "qpnls.harness", "solve",
+             "--set", f"params.a=[{a}]", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERIC
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
     def test_acceptance_exit_code(self, tmp_path):
         # A threshold of (eps + delta)^0.2 is violated by some separations.

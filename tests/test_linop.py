@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from qpnls import linop
+from qpnls import linop, solver
 from qpnls.lattice import Region, frozen_mode_sites, index_region
 from qpnls.linop import (LDEParams, SingularOperatorError, assemble_H,
                          box_operator, diagonal_value, diagonal_values, green,
@@ -204,14 +204,18 @@ class TestCSRKernels:
                      a=(1.5,)), 2),
     ], ids=["reference-N4", "b2-N5", "d2-N2"])
     def test_newton_operator_equals_scipy(self, params, N, monkeypatch):
-        # Newton builds the layered operator's CSR, complex, and then its
-        # real form's, float64; the frequency solve before them builds the
-        # residual's.
+        # Newton builds the layered operator's CSR in linop, complex, and
+        # then, in solver, the CSR of its real block Ar + Br, float64; the
+        # frequency solve before them builds the residual's.
         built = []
         coo_to_csr = linop._coo_to_csr
-        monkeypatch.setattr(linop, "_coo_to_csr",
-                            lambda *args: built.append(
-                                (args, coo_to_csr(*args))) or built[-1][1])
+
+        def recorded(*args):
+            built.append((args, coo_to_csr(*args)))
+            return built[-1][1]
+
+        monkeypatch.setattr(linop, "_coo_to_csr", recorded)
+        monkeypatch.setattr(solver, "_coo_to_csr", recorded)
         H = newton_operator(params, N)
         assert [args[3].dtype for args, _ in built[-2:]] \
             == [complex, np.float64]

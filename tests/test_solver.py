@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from qpnls.lattice import (Indexing, Region, frozen_mode_sites,
-                           index_region, index_sites, recenter, sup_norm)
+from qpnls.lattice import (Region, frozen_mode_sites, index_region,
+                           index_sites, recenter, sup_norm)
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 from qpnls import linop, solver
@@ -115,14 +115,14 @@ def random_plus_coeffs(rng, b, d, count, k_max=3, n_max=2, scale=1.0):
     return coeffs
 
 
-def complex_state(params, seed):
-    """The anchors and eight random complex amplitudes of size 1e-2 at
-    |k| <= 2, |n| <= 1.  Runs from the real anchors stay real, so only
-    such a state gives Newton's real matrix its off-diagonal blocks."""
+def perturbed_state(params, seed):
+    """The anchors and eight random real amplitudes of size 1e-2 at
+    |k| <= 2, |n| <= 1.  They couple more sites through B,
+    p (u*v)^(p-1) * u * u, than a run's first state, the anchors alone."""
     coeffs = random_plus_coeffs(np.random.default_rng(seed), params.b,
                                 params.d, 8, k_max=2, n_max=1, scale=1e-2)
-    return FourierState.from_coeffs(coeffs, params.b, params.d,
-                                    anchor_sites(params))
+    return FourierState.from_coeffs({s: v.real for s, v in coeffs.items()},
+                                    params.b, params.d, anchor_sites(params))
 
 
 def with_mirrors(coeffs):
@@ -197,32 +197,6 @@ def layered_newton_step(state, omega, params, N):
     layered = recenter(both_layers(state), radii)
     layered[layered_at(idx, radii)] -= delta
     return symmetrize(layered, b), float(np.abs(delta).max())
-
-
-def real_form_newton_step(state, omega, params, N):
-    """The Newton step on the whole real form, 2P unknowns, whatever the
-    state: [[Ar + Br, Bi - Ai], [Ai + Bi, Ar - Br]] on the plus sites and
-    their mirrors, factored by _sparse_lu, x's halves subtracted from the
-    plus layer as real and imaginary parts.  Returns the new state and x."""
-    b, d = params.b, params.d
-    idx = index_region(Region.cube(b + d, N), b,
-                       frozen_mode_sites(params.sites))
-    plus = idx.positions[idx.layers > 0]
-    P = len(plus)
-    both = Indexing(np.concatenate([plus, plus * ([-1] * b + [1] * d)]),
-                    np.repeat(np.array([1, -1]), P), b)
-    S = linearization_coupling(
-        state, params, itertools.product(range(-N, N + 1), repeat=d), 2 * N)
-    A = linop.real_form(linop.lattice_operator(params, omega, both, 0.0, S),
-                        P)
-    Rk, Rn = state.radii
-    radii = (max(Rk, N),) * b + (max(Rn, N),) * d
-    at = tuple((plus + radii).T)
-    F = recenter(evaluate_F(state, omega, params).amp, radii)[at]
-    x = solver._sparse_lu(A.tocsc()).solve(np.concatenate([F.real, F.imag]))
-    amp = recenter(state.amp, radii)
-    amp[at] -= x[:P] + 1j * x[P:]
-    return FourierState(amp, b), x
 
 
 def uncut_coupling(state, params, n_values, dk_radius):
@@ -645,7 +619,14 @@ class TestNewtonStep:
     def test_matches_layered_step(self, monkeypatch, params, N_cap):
         # Newton on the plus layer's real system stops for the same reason
         # after as many steps as the layered complex step folded back by
-        # symmetrize, at amplitudes within 1e-20 of its.
+        # symmetrize, at amplitudes within 1e-20 of its.  Every state of
+        # the run is real.
+        def real_step(state, *args):
+            new, corr = newton_step(state, *args)
+            assert not (state.amp.imag.any() or new.amp.imag.any())
+            return new, corr
+
+        monkeypatch.setattr(solver, "newton_step", real_step)
         real = run_solver(params, N_cap=N_cap)
         monkeypatch.setattr(solver, "newton_step", layered_newton_step)
         layered = run_solver(params, N_cap=N_cap)
@@ -654,21 +635,6 @@ class TestNewtonStep:
         assert real.newton_steps >= 3
         assert real.state.amp.shape == layered.state.amp.shape
         assert np.abs(real.state.amp - layered.state.amp).max() <= 1e-20
-
-    @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
-                             ids=["reference", "b2", "d2", "p2"])
-    def test_step_matches_layered_step_on_complex_state(self, params, N_cap):
-        # The runs above stay real, so they leave the real system's
-        # off-diagonal blocks empty; one step from complex amplitudes
-        # checks them against the layered step.
-        state = complex_state(params, 41)
-        om = solve_Q(state, params)
-        real, corr = newton_step(state, om, params, 2)
-        layered, want = layered_newton_step(state, om, params, 2)
-        assert corr == pytest.approx(want, rel=1e-12)
-        # Both are direct solves; small divisors amplify their round-off.
-        assert np.abs(real.amp - layered.amp).max() \
-            <= 1e-14 * np.abs(real.amp).max()
 
     @pytest.mark.parametrize("params, N_cap", [PARITY_CASES[1],
                                                PARITY_CASES[3]],
@@ -701,8 +667,7 @@ class TestNewtonStep:
         # The layered operator is Hermitian and its block on the mirror
         # sites complex symmetric, so the float64 matrix of every Newton
         # step equals its transpose, bitwise: its CSR arrays are its CSC
-        # arrays.  The runs stay real, so each step factors the P x P
-        # block Ar + Br alone.
+        # arrays.  Each step factors the P x P block Ar + Br.
         seen, newton_matrix = [], solver._newton_matrix
 
         def checked(*args):
@@ -718,16 +683,6 @@ class TestNewtonStep:
                               PARITY_CASES[3]):
             run_solver(params, N_cap=N_cap)
         assert len(seen) == 11
-        # On complex amplitudes the matrix has 2P unknowns and the
-        # convolutions round in another order per entry, so the transpose
-        # agrees to round-off.
-        for seed, (params, _) in enumerate(PARITY_CASES):
-            state = complex_state(params, seed)
-            plus, A = newton_matrix(state, solve_Q(state, params), params, 2)
-            assert A.m == 2 * len(plus)
-            M = A.toarray()
-            assert np.abs(M[:len(M) // 2, len(M) // 2:]).max() > 0
-            assert np.abs(M - M.T).max() <= 1e-15 * np.abs(M).max()
 
     def test_quadratic_remainder(self):
         # the post-step residual is second order in the correction size
@@ -775,53 +730,19 @@ class TestNewtonStep:
         assert math.isnan(err.value.smallest_singular_value)
         assert "not finite" in str(err.value)
 
-    @pytest.mark.parametrize("params, N_cap",
-                             PARITY_CASES + [(b3_params(), 6)],
-                             ids=["reference", "b2", "d2", "p2", "b3"])
-    def test_real_block_equals_real_form_solve(self, monkeypatch, params,
-                                               N_cap):
-        # On a real state the real form is diag(Ar + Br, Ar - Br) with a
-        # zero lower right-hand side, so factoring Ar + Br alone gives the
-        # whole solve's correction, bitwise, at every step of a run.
-        sizes, newton_matrix = [], solver._newton_matrix
-
-        def recorded(*args):
-            plus, A = newton_matrix(*args)
-            sizes.append((A.m, len(plus)))
-            return plus, A
-
-        def checked(state, omega, params, N):
-            assert not state.amp.imag.any()
-            new, corr = newton_step(state, omega, params, N)
-            want, x = real_form_newton_step(state, omega, params, N)
-            P = sizes[-1][1]
-            assert not x[P:].any()
-            assert_bitwise_equal(new.amp, want.amp)
-            assert corr == np.abs(x).max()
-            return new, corr
-
-        monkeypatch.setattr(solver, "_newton_matrix", recorded)
-        monkeypatch.setattr(solver, "newton_step", checked)
-        sol = run_solver(params, N_cap=N_cap)
-        assert sol.converged and len(sizes) == sol.newton_steps >= 3
-        assert all(m == P for m, P in sizes)
-
-    def test_complex_state_factors_both_halves(self, monkeypatch):
-        # A complex state keeps the 2P real form, off-diagonal blocks and
-        # all.
-        factored, sparse_lu = [], solver._sparse_lu
-
-        def recorded(csc):
-            factored.append(csc[2].size - 1)
-            return sparse_lu(csc)
-
-        monkeypatch.setattr(solver, "_sparse_lu", recorded)
-        for seed, (params, _) in enumerate(PARITY_CASES):
-            state = complex_state(params, seed)
-            plus, _ = solver._newton_matrix(state, solve_Q(state, params),
-                                            params, 2)
-            newton_step(state, solve_Q(state, params), params, 2)
-            assert factored[-1] == 2 * len(plus)
+    def test_complex_state_refused(self, monkeypatch):
+        # Runs from the real anchors stay real; a complex state is refused
+        # before Newton's matrix is assembled.
+        params = b2_params()
+        coeffs = random_plus_coeffs(np.random.default_rng(41), params.b,
+                                    params.d, 8, k_max=2, n_max=1, scale=1e-2)
+        state = FourierState.from_coeffs(coeffs, params.b, params.d,
+                                         anchor_sites(params))
+        omega = solve_Q(state, params)
+        monkeypatch.setattr(solver, "lattice_operator",
+                            lambda *args: pytest.fail("matrix assembled"))
+        with pytest.raises(ValueError, match="real state"):
+            newton_step(state, omega, params, 2)
 
     @pytest.mark.parametrize("params, N", [
         (reference_params(), 4),
@@ -830,12 +751,13 @@ class TestNewtonStep:
     ], ids=["reference", "b2", "d2"])
     def test_correction_matches_dense_solve(self, params, N):
         from qpnls.linop import assemble_H
-        state = complex_state(params, 43)
+        state = perturbed_state(params, 43)
         om = solve_Q(state, params)
         S = layered_coupling(
             state, params,
             itertools.product(range(-N, N + 1), repeat=params.d),
             dk_radius=2 * N)
+        assert any(xi != xip for _, _, xi, xip in S)  # B and its mirror
         op = assemble_H(params, om, Region.cube(params.b + params.d, N),
                         0.0, S, exclude=frozen_mode_sites(params.sites))
         rhs = layered_gather(evaluate_F(state, om, params), op.indexing)
@@ -861,25 +783,25 @@ class TestNewtonStep:
         # order does.
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
-        state = complex_state(params, 47)
+        state = perturbed_state(params, 47)
         om = solve_Q(state, params)
         plus, A = solver._newton_matrix(state, om, params, N)
         csc = A.tocsc()
-        assert csc[0].dtype == np.float64 and A.m == 2 * len(plus)
+        assert csc[0].dtype == np.float64 and A.m == len(plus)
         Rk, Rn = state.radii
         radii = (max(Rk, N),) * params.b + (max(Rn, N),) * params.d
         at = tuple((plus + radii).T)
         F = recenter(evaluate_F(state, om, params).amp, radii)[at]
-        rhs = np.concatenate([F.real, F.imag])
+        assert not F.imag.any()
+        rhs = F.real
         lu = splu(csc_matrix(csc, shape=(A.m, A.m)),
                   permc_spec="MMD_AT_PLUS_A")
         x = lu.solve(rhs)
         assert np.array_equal(solver._sparse_lu(csc).solve(rhs), x)
-        # newton_step subtracts x's real and imaginary halves from the plus
-        # layer at those sites.
+        # newton_step subtracts x from the plus layer at those sites.
         new, _ = newton_step(state, om, params, N)
         want = recenter(state.amp, radii)
-        want[at] -= x[:len(plus)] + 1j * x[len(plus):]
+        want[at] -= x
         assert_bitwise_equal(new.amp, want)
         # The adjoint solve an a posteriori bound would use agrees too.
         assert np.array_equal(solver._sparse_lu(csc).solve(rhs, trans="H"),

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qpnls.diophantine import (DCReport, DiophParams, WronskianInput,
-                               _safe_abs_det, _wronskian_columns,
-                               bgg_check, check_dc_conditions,
-                               clustering_count, estimate_excluded_measure,
-                               km_bound, sublevel_measure_1d, wilson_interval,
+from qpnls.diophantine import (DiophParams, WronskianInput, _safe_abs_det,
+                               _wronskian_columns, bgg_check,
+                               check_dc_conditions, clustering_count,
+                               estimate_excluded_measure, km_bound,
+                               sublevel_measure_1d, wilson_interval,
                                wronskian_det)
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params

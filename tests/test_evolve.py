@@ -193,15 +193,35 @@ class TestIntegrate:
         traj = integrate(u0, p, box, T=dt, dt=dt)
         assert np.abs(traj.states[-1] - want).max() <= 1e-14
 
-    def test_blow_up_detection(self):
-        # RK4 far outside its stability region amplifies every step
+    @staticmethod
+    def assert_blows_up_on_time(dt):
+        # RK4 outside its stability region amplifies every step
         p = ModelParams(V=TrigPoly(d=1, K=1, gamma=((1,),), v=(0.0,)),
                         alpha=(0.1,), theta=(0.1,), epsilon=0.9, delta=0.0,
                         p=1, sites=((0,),), a=(1.0,))
         box = LatticeBox(1, 6)
         u0 = np.ones(box.shape, dtype=complex)
-        with pytest.raises(BlowUpError):
-            integrate(u0, p, box, T=2000.0, dt=4.0)
+        with pytest.raises(BlowUpError) as info:
+            integrate(u0, p, box, T=2000.0, dt=dt)
+        # it stops at the first step whose norm the oracle puts above the
+        # limit
+        L = scipy_box_operator(p, box)
+        u, step = u0.ravel(), 0
+        while np.linalg.norm(u) <= 10.0 * np.linalg.norm(u0):
+            k1 = 1j * (L @ u)
+            k2 = 1j * (L @ (u + 0.5 * dt * k1))
+            k3 = 1j * (L @ (u + 0.5 * dt * k2))
+            k4 = 1j * (L @ (u + dt * k3))
+            u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            step += 1
+        assert info.value.time == step * dt
+        return step
+
+    def test_blow_up_detection(self):
+        assert self.assert_blows_up_on_time(4.0) == 1
+
+    def test_blow_up_after_several_steps(self):
+        assert self.assert_blows_up_on_time(1.7) == 7
 
     def test_invalid_dt(self):
         p = reference_params()
@@ -249,8 +269,9 @@ class TestIntegrateParity:
         traj = integrate(u0, params, box, T, dt, store_every=store_every)
         times, states, drift = reference_integrate(u0, params, box, T, dt,
                                                    store_every)
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states, states)
+        # bytes, not np.array_equal, which takes -0.0 for +0.0
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
         assert traj.norm_drift == drift
 
     def test_reference_solution(self):
@@ -258,7 +279,8 @@ class TestIntegrateParity:
         box, u0 = reconstruct(sol, 0.0)
         self.assert_bitwise(u0, reference_params(), box, T=1.0, dt=1e-3)
 
-    @pytest.mark.parametrize("p", [1, 2])
+    # p = 1 squares |u|; other p take np.power
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_d2(self, p):
         box = LatticeBox(2, 4)
         self.assert_bitwise(random_field(box, 37), d2_params(p), box,

@@ -86,7 +86,8 @@ def integrate(u0: np.ndarray, params: ModelParams, box: LatticeBox,
     if store_every < 1:
         raise ValueError("store_every must be at least 1")
     L = box_operator(params, (), (box.R,) * box.d)
-    m, indptr, indices, data = L.m, L.indptr, L.indices, L.data
+    # complex data, or csr_matvec would upcast it on every call
+    m, indptr, indices, data = L.m, L.indptr, L.indices, L.data.astype(complex)
     csr_matvec = _scipy_extension(_SPARSETOOLS).csr_matvec
     nonlinear, power = params.delta != 0.0, 2 * params.p
     u = np.array(u0, dtype=complex)

@@ -332,7 +332,7 @@ def stage_evolve(config: dict, out: Path) -> dict:
     atomic_write_text(out / "evolve_summary.json",
                       json.dumps(summary, sort_keys=True, indent=2))
     return {"status": "pass" if report.within_budget else "fail",
-            "outputs": ["evolve_summary.json"],
+            "outputs": outputs + ["evolve_summary.json"],
             "deviation_sup": report.deviation_sup}
 
 

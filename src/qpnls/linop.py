@@ -3,9 +3,9 @@
 An operator lives on the +/- layered sites of a region: diagonal part
 built from sigma, k . omega and the potential values mu_n, a hopping
 Laplacian acting in n on each layer, and an optional short-range coupling
-term.  lattice_operator builds all three as one CSR matrix, by SciPy's
-kernels loaded without scipy.sparse, on any indexed site set; Newton, the
-residual, the time-domain right-hand side and the classification sweeps
+term.  lattice_operator builds all three as one float64 CSR matrix, by
+SciPy's kernels loaded without scipy.sparse, on any indexed site set;
+Newton, the residual, the time-domain right-hand side and the sweeps
 all use it.  Green's functions are computed from one SVD each and
 classified by inverse norm and off-diagonal decay.  Sigma sweeps classify
 every sigma of a region from one eigendecomposition per region and layer:
@@ -118,7 +118,7 @@ def _short_range_entries(keys: _SiteKeys, kernel: dict, scale: float
     # The layer digit goes from (1 - xi) / 2 to (1 - xi') / 2.
     shift = dk @ keys.strides[d + 1:] + (xip - xi) // 2 * keys.strides[d]
     hit, cols = keys.find(keys.code[rows] - shift[entry])
-    values = scale * np.array(list(kernel.values()), dtype=complex)
+    values = scale * np.array(list(kernel.values()))
     return rows[hit], cols, values[entry[hit]]
 
 
@@ -174,9 +174,9 @@ _SPARSETOOLS = "scipy.sparse._sparsetools"
 
 @dataclass(frozen=True, eq=False)
 class CSR:
-    """A square complex or real matrix in SciPy's canonical CSR layout:
-    sorted indices, no duplicates, int32 indices and indptr.  Each method
-    runs the _sparsetools kernel csr_matrix's method of that name runs."""
+    """A square matrix in SciPy's canonical CSR layout: sorted indices,
+    no duplicates, int32 indices and indptr.  Each method runs the
+    _sparsetools kernel csr_matrix's method of that name runs."""
 
     data: np.ndarray
     indices: np.ndarray
@@ -192,7 +192,8 @@ class CSR:
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._kernel("csr_matvec", x, np.zeros(self.m, complex))[1]
+        y = np.zeros(self.m, np.result_type(self.data, x))
+        return self._kernel("csr_matvec", x, y)[1]
 
     def toarray(self) -> np.ndarray:
         return self._kernel("csr_todense",
@@ -229,10 +230,10 @@ def lattice_operator(params: ModelParams, omega: Sequence[float],
                      idx: Indexing, sigma: float = 0.0,
                      S: Optional[dict] = None) -> CSR:
     """D + epsilon * (hopping in n, per layer) + delta * S on the indexed
-    sites, as a complex CSR matrix.  S is a short-range kernel, Toplitz in
-    k and diagonal in n: {(dk, n, xi, xi'): value} couples each indexed
-    site (k, n, xi) to (k - dk, n, xi').  Hopping and S reach only sites
-    inside the indexing (zero Dirichlet condition outside)."""
+    sites, as a float64 CSR matrix.  S is a real short-range kernel,
+    Toplitz in k and diagonal in n: {(dk, n, xi, xi'): value} couples each
+    indexed site (k, n, xi) to (k - dk, n, xi').  Hopping and S reach only
+    sites inside the indexing (zero Dirichlet condition outside)."""
     m, d = idx.m, params.d
     kernel = S if S is not None and params.delta != 0.0 else {}
     reach = max((sup_norm(key[0]) for key in kernel), default=0)
@@ -248,7 +249,7 @@ def lattice_operator(params: ModelParams, omega: Sequence[float],
     if kernel:
         terms.append(_short_range_entries(keys, kernel, params.delta))
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    return _coo_to_csr(m, rows, cols, vals.astype(complex))
+    return _coo_to_csr(m, rows, cols, vals)
 
 
 def box_operator(params: ModelParams, omega: Sequence[float],
@@ -262,12 +263,12 @@ def box_operator(params: ModelParams, omega: Sequence[float],
 
 
 def assemble_H(params: ModelParams, omega: Sequence[float], region: Region,
-               sigma: float, S: Optional[dict] = None,
+               sigma: float,
                exclude: Iterable[Site] = ()) -> AssembledOperator:
-    """Full operator: diagonal + epsilon * (hopping in n, per layer)
-    + delta * S, restricted to the region minus exclusions."""
+    """Dense operator: diagonal + epsilon * (hopping in n, per layer),
+    restricted to the region minus exclusions."""
     idx = index_region(region, params.b, exclude)
-    H = lattice_operator(params, omega, idx, sigma, S).toarray()
+    H = lattice_operator(params, omega, idx, sigma).toarray()
     return AssembledOperator(region, idx, H)
 
 
@@ -495,8 +496,8 @@ def _sweep_region(op: AssembledOperator, sigmas: np.ndarray,
     H0 = op.matrix
     xi = op.indexing.layers
     plus, minus = np.flatnonzero(xi > 0), np.flatnonzero(xi < 0)
-    if np.any(H0.imag != 0.0) or np.any(H0[np.ix_(plus, minus)] != 0.0):
-        raise ValueError("sweep needs real, decoupled +/- layers")
+    if np.any(H0[np.ix_(plus, minus)] != 0.0):
+        raise ValueError("sweep needs decoupled +/- layers")
     M, norm_budget, gamma_target = _scale(op.region, lde)
     positions = op.indexing.positions
     layers = []  # (sign, lam, Q, block, far rows, far cols)
@@ -504,7 +505,7 @@ def _sweep_region(op: AssembledOperator, sigmas: np.ndarray,
     for sign, layer in ((1.0, plus), (-1.0, minus)):
         if layer.size == 0:
             continue
-        block = H0.real[np.ix_(layer, layer)]
+        block = H0[np.ix_(layer, layer)]
         lam, Q = np.linalg.eigh(block)
         rows, cols, d_far = _far_pairs(positions[layer], M ** lde.dist_exp)
         layers.append((sign, lam, Q, block, rows, cols))

@@ -1,7 +1,7 @@
 """Construction of quasi-periodic localized states.
 
-The unknown is the table of plus-layer Fourier amplitudes u_hat(k, n);
-the minus layer of the layered lattice is its conjugate mirror.  The
+The unknown is the real table of plus-layer Fourier amplitudes u_hat(k, n);
+the minus layer of the layered lattice is its (conjugate) mirror.  The
 frequency vector omega is solved from the finitely many equations at the
 excited sites, and the remaining equations are solved by Newton steps on
 growing regions.  All nonlinear terms are convolutions in k at fixed n.
@@ -47,9 +47,10 @@ _ROUND_OFF = 2.0 ** -53
 class FourierState:
     """Plus-layer Fourier amplitudes u(k, n) on a centered box.
 
-    amp has shape (2Rk+1,)*b + (2Rn+1,)*d: k axes, then n axes.  The
-    minus layer is not stored: its coefficient at (k, n, -) is the
-    conjugate of the one at (-k, n, +), which `get` and `coeffs` derive.
+    amp is float64, of shape (2Rk+1,)*b + (2Rn+1,)*d: k axes, then n
+    axes.  The minus layer is not stored: its coefficient at (k, n, -) is
+    the conjugate of the one at (-k, n, +), which `get` and `coeffs`
+    derive as Python complex, imaginary part -0.0 on the minus layer.
     from_coeffs writes the anchor amplitudes; Newton never corrects them.
     _convolved keeps the state's convolutions: amp is not written after.
     """
@@ -69,16 +70,17 @@ class FourierState:
     @classmethod
     def from_coeffs(cls, coeffs: dict, b: int, d: int,
                     anchors: dict) -> "FourierState":
-        """State from plus-layer {(k, n, 1): value} maps on the smallest
-        box that holds them; a minus-layer key raises ValueError."""
+        """State on the smallest box that holds real plus-layer
+        {(k, n, 1): value} maps; other keys or values raise ValueError."""
         values = {**coeffs, **anchors}
-        if any(xi != 1 for _, _, xi in values):
-            raise ValueError("the minus layer is derived, not stored")
+        if any(xi != 1 or np.imag(v) for (_, _, xi), v in values.items()):
+            raise ValueError("amplitudes are real and on the plus layer; "
+                             "the minus layer is derived, not stored")
         Rk, Rn = (max((sup_norm(s[j]) for s in values), default=0)
                   for j in (0, 1))
-        amp = np.zeros((2 * Rk + 1,) * b + (2 * Rn + 1,) * d, dtype=complex)
+        amp = np.zeros((2 * Rk + 1,) * b + (2 * Rn + 1,) * d)
         for (k, n, _), value in values.items():
-            amp[(*(c + Rk for c in k), *(c + Rn for c in n))] = value
+            amp[(*(c + Rk for c in k), *(c + Rn for c in n))] = np.real(value)
         return cls(amp, b)
 
     @property
@@ -99,7 +101,7 @@ class FourierState:
         nz = np.argwhere(self.amp)
         sites = (nz - ([Rk] * self.b + [Rn] * self.d)).tolist()
         return {(tuple(xi * c for c in row[:self.b]), tuple(row[self.b:]), xi):
-                value if xi > 0 else value.conjugate()
+                complex(value) if xi > 0 else complex(value).conjugate()
                 for row, value in zip(sites, self.amp[tuple(nz.T)].tolist())
                 for xi in (1, -1)}
 
@@ -108,7 +110,7 @@ class FourierState:
         if sup_norm(k) > Rk or sup_norm(n) > Rn:
             return 0j
         value = self.amp[(*(xi * c + Rk for c in k), *(c + Rn for c in n))]
-        return complex(value if xi > 0 else np.conj(value))
+        return complex(value) if xi > 0 else complex(value).conjugate()
 
     def support_radius(self) -> int:
         """Largest sup norm of (k, n) over the nonzero amplitudes."""
@@ -117,8 +119,8 @@ class FourierState:
 
 
 def _mirror(arr: np.ndarray, b: int) -> np.ndarray:
-    """conj arr(-k, n), k the first b axes: the other layer's values."""
-    return np.conj(np.flip(arr, axis=tuple(range(b))))
+    """arr(-k, n), k the first b axes: the other layer's (real) values."""
+    return np.flip(arr, axis=tuple(range(b)))
 
 
 def anchor_sites(params: ModelParams) -> dict:
@@ -126,7 +128,7 @@ def anchor_sites(params: ModelParams) -> dict:
     out = {}
     for l, n in enumerate(params.sites):
         e = tuple(1 if j == l else 0 for j in range(params.b))
-        out[(e, tuple(n), +1)] = complex(params.a[l])
+        out[(e, tuple(n), +1)] = float(params.a[l])
     return out
 
 
@@ -139,7 +141,7 @@ def initial_state(params: ModelParams) -> FourierState:
 def symmetrize(layered: np.ndarray, b: int) -> FourierState:
     """Fold a layered box array (k axes, n axes, then + before -) onto
     the plus layer by averaging the two determinations of each
-    coefficient, u and the conjugate mirror of v."""
+    coefficient, u and the mirror of v."""
     u, v = layered[..., 0], layered[..., 1]
     return FourierState(0.5 * (u + _mirror(v, b)), b)
 
@@ -155,7 +157,7 @@ def _conv(a: np.ndarray, c: np.ndarray, nk: int) -> np.ndarray:
         a, c = c, a
     out = np.zeros(tuple(x + y - 1 for x, y in zip(a.shape[:nk], c.shape[:nk]))
                    + np.broadcast_shapes(a.shape[nk:], c.shape[nk:]),
-                   dtype=complex)
+                   dtype=np.result_type(a, c))
     live = np.argwhere(a.reshape(a.shape[:nk] + (-1,)).any(axis=-1))
     for j in map(tuple, live.tolist()):
         out[tuple(slice(i, i + w) for i, w in zip(j, c.shape))] += a[j] * c
@@ -173,7 +175,7 @@ def _uv_powers(u: np.ndarray, v: np.ndarray, b: int,
 
 def convolution_nonlinearity(state: FourierState, p: int) -> FourierState:
     """The plus layer's nonlinear term (u*v)^p * u, convolving in k at
-    each fixed n; the minus layer's (u*v)^p * v is its conjugate mirror.
+    each fixed n; the minus layer's (u*v)^p * v is its mirror.
 
     The result lives on the state's n box and k radius (2p+1) Rk.  The
     state keeps it: each call with this p returns the same object.
@@ -188,7 +190,7 @@ def evaluate_F(state: FourierState, omega: Sequence[float],
                params: ModelParams) -> FourierState:
     """Residual of the plus-layer lattice equations at the current state,
     (-k . omega + mu_n) u + eps (hopping in n) u + delta (u*v)^p * u; the
-    minus-layer rows are its conjugate mirror.  Returned on the
+    minus-layer rows are its mirror.  Returned on the
     nonlinearity's box, k radius (2p+1) Rk, widened by one hopping step
     in n, which holds every row the state or the nonlinearity reaches.
     D and the hopping are diagonal in k, so box_operator builds them on
@@ -285,11 +287,10 @@ def _sparse_lu(csc: tuple[np.ndarray, np.ndarray, np.ndarray]):
 def _newton_matrix(state: FourierState, omega: Sequence[float],
                    params: ModelParams, N: int) -> tuple[np.ndarray, CSR]:
     """Newton's unknowns, the plus sites of the cube of size N minus the
-    anchors, as (k, n) positions, and the float64 P x P matrix Ar + Br.
-    lattice_operator builds the layered operator on the P plus sites and
-    then their P mirror sites (-k, n, -); the plus rows read A x + B conj(x),
-    and on a real state A, B and x are real, so column j + P folds onto
-    column j.  Exact zeros are left out."""
+    anchors, as (k, n) positions, and the P x P matrix A + B:
+    lattice_operator on the P plus sites, then their P mirror sites
+    (-k, n, -), whose plus rows read A x + B conj(x) with A, B and x real,
+    so column j + P folds onto column j.  Exact zeros are left out."""
     b, d = params.b, params.d
     idx = index_region(Region.cube(b + d, N), b,
                        frozen_mode_sites(params.sites))
@@ -303,7 +304,7 @@ def _newton_matrix(state: FourierState, omega: Sequence[float],
     A = lattice_operator(params, omega, both, 0.0, S)
     stop = A.indptr[P]
     rows = np.repeat(np.arange(P), np.diff(A.indptr[:P + 1]))
-    vals = A.data[:stop].real
+    vals = A.data[:stop]
     keep = vals != 0.0
     return plus, _coo_to_csr(P, rows[keep], A.indices[:stop][keep] % P,
                              vals[keep])
@@ -314,23 +315,19 @@ def newton_step(state: FourierState, omega: Sequence[float],
     """One Newton correction on the cube of size N, excited sites frozen.
 
     The plus rows of the layered system read A x + B conj(x) = F in the
-    plus-layer correction x.  Every state from the real anchors is real,
-    so A, B, F and x are, and the system is Ar + Br, P unknowns
-    (_newton_matrix), which a sparse LU solves (SuperLU with a
-    minimum-degree order on A^T + A, through _sparse_lu).  A complex
-    state raises ValueError.  No dense m x m array is built, except for
-    the SVD that reports the smallest singular value of an exactly
-    singular, finite matrix with at most _SVD_MAX_M unknowns (nan
-    otherwise).  x is subtracted from the plus layer."""
-    if state.amp.imag.any():
-        raise ValueError("newton_step takes a real state")
+    plus-layer correction x; the state is real, so A, B, F and x are, and
+    the system is A + B, P unknowns (_newton_matrix), solved by a sparse LU
+    (SuperLU, minimum-degree order on A^T + A, through _sparse_lu) and
+    subtracted from the plus layer.  No dense m x m array is built, except
+    for the SVD reporting the smallest singular value of an exactly singular,
+    finite matrix of at most _SVD_MAX_M unknowns (nan otherwise)."""
     plus, A = _newton_matrix(state, omega, params, N)
     Rk, Rn = state.radii
     radii = (max(Rk, N),) * params.b + (max(Rn, N),) * params.d
     at = tuple((plus + radii).T)
     F = recenter(evaluate_F(state, omega, params).amp, radii)[at]
     try:
-        x = _sparse_lu(A.tocsc()).solve(F.real)
+        x = _sparse_lu(A.tocsc()).solve(F)
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         message, smin = f"linearized operator singular on cube N={N}", math.nan
         if not np.isfinite(A.data).all():

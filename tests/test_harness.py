@@ -120,6 +120,38 @@ class TestStages:
         assert out["stages"] == {"evolve": "pass"}
         assert json.loads(path.read_text())["stop_reason"] == "converged"
 
+    def test_evolve_resolves_complex_solution(self, tmp_path):
+        # A plus-layer amplitude with a nonzero imaginary part is no state
+        # the solver makes: evolve re-solves rather than verify it.
+        cfg = load_config(None, ["solver.N_cap=8", "evolve.T=1.0"])
+        assert run(cfg, "solve", str(tmp_path))["stages"]["solve"][
+            "status"] == "pass"
+        path = tmp_path / "solution.json"
+        rec = json.loads(path.read_text())
+        row = next(row for row in rec["coeffs"] if row["xi"] == 1)
+        row["im"] = 1e-3
+        path.write_text(json.dumps(rec, sort_keys=True, indent=2))
+        with pytest.raises(ValueError, match="real"):
+            solver.solution_from_record(rec)
+        info = run(cfg, "evolve", str(tmp_path))["stages"]["evolve"]
+        assert info["status"] == "pass"
+        assert info["outputs"] == ["solution.json", "newton_trace.csv",
+                                   "evolve_summary.json"]
+        rows = json.loads(path.read_text())["coeffs"]
+        assert all(row["im"] == 0.0 for row in rows)
+
+    def test_solution_json_zero_signs(self, tmp_path):
+        # On the default config each plus row is written "im": 0.0 and
+        # each minus row, the conjugate mirror, "im": -0.0, as the text
+        # of the file spells them.
+        assert main(["solve", "--out", str(tmp_path)]) == EXIT_OK
+        text = (tmp_path / "solution.json").read_text()
+        rows = json.loads(text, parse_float=str)["coeffs"]
+        ims = {xi: {row["im"] for row in rows if row["xi"] == xi}
+               for xi in (1, -1)}
+        assert ims == {1: {"0.0"}, -1: {"-0.0"}}
+        assert text.count('"im": 0.0') == text.count('"im": -0.0') > 1
+
     @pytest.mark.parametrize("solve_first", [False, True],
                              ids=["fresh", "after-solve"])
     def test_evolve_fails_unconverged_solution(self, tmp_path, solve_first):

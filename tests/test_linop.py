@@ -19,10 +19,10 @@ from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 
 
-def make_operator(sigma=0.3, N=2, params=None, S=None):
+def make_operator(sigma=0.3, N=2, params=None):
     p = params if params is not None else reference_params()
     om = base_frequencies(p)
-    return p, assemble_H(p, om, Region.cube(p.b + p.d, N), sigma, S)
+    return p, assemble_H(p, om, Region.cube(p.b + p.d, N), sigma)
 
 
 class TestAssembleD:
@@ -107,10 +107,9 @@ class TestAssembleH:
             ((-1,), (0,), 1, 1): 0.25,
         }
         om = base_frequencies(p)
-        op_plain = assemble_H(p, om, Region.cube(2, 1), 0.0)
-        op = assemble_H(p, om, Region.cube(2, 1), 0.0, S)
-        D = op.matrix - op_plain.matrix
-        idx = op.indexing
+        idx = index_region(Region.cube(2, 1), p.b)
+        D = (lattice_operator(p, om, idx, 0.0, S).toarray()
+             - lattice_operator(p, om, idx).toarray())
         i = idx[((0,), (0,), 1)]
         j = idx[((1,), (0,), 1)]
         assert D[i, i] == pytest.approx(p.delta * 0.5)
@@ -127,7 +126,7 @@ class TestAssembleH:
         for _ in range(12):
             k = tuple(int(c) for c in rng.integers(-2, 3, 2))
             n = (int(rng.integers(-2, 3)),)
-            coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * 0.1
+            coeffs[(k, n, 1)] = float(rng.standard_normal()) * 0.1
         state = FourierState.from_coeffs(coeffs, 2, 1, {})
         region = Region.cube(3, 2)
         S = linearization_coupling(state, p, {y[2:] for y in region.sites()},
@@ -135,9 +134,11 @@ class TestAssembleH:
         assert S
         excl = frozen_mode_sites(p.sites)
         sigma = 0.13
-        op = assemble_H(p, om, region, sigma, S, exclude=excl)
-        sites = op.indexing.sites
-        hand = np.zeros((op.m, op.m), dtype=complex)
+        idx = index_region(region, p.b, excl)
+        H = lattice_operator(p, om, idx, sigma, S)
+        assert H.data.dtype == np.float64
+        sites = idx.sites
+        hand = np.zeros((idx.m, idx.m))
         for i, (k, n, xi) in enumerate(sites):
             kw = k[0] * om[0] + k[1] * om[1]
             hand[i, i] = xi * (-sigma - kw) + p.mu_n(n)
@@ -147,9 +148,8 @@ class TestAssembleH:
                 if np_ == n:
                     dk = (k[0] - kp[0], k[1] - kp[1])
                     hand[i, j] += p.delta * S.get((dk, n, xi, xip), 0)
-        assert np.abs(op.matrix - hand).max() <= 1e-14
+        assert np.abs(H.toarray() - hand).max() <= 1e-14
         # The sparse builder stores the nonzeros only, no dense S block.
-        H = lattice_operator(p, om, op.indexing, sigma, S)
         assert H.data.size == np.count_nonzero(hand)
 
 
@@ -203,8 +203,8 @@ class TestCSRKernels:
                      a=(1.5,)), 2),
     ], ids=["reference-N4", "b2-N5", "d2-N2"])
     def test_newton_operator_equals_scipy(self, params, N, monkeypatch):
-        # Newton builds the layered operator's CSR in linop, complex, and
-        # then, in solver, the CSR of its real block Ar + Br, float64; the
+        # Newton builds the layered operator's CSR in linop and then, in
+        # solver, the CSR of its folded block A + B, both float64; the
         # frequency solve before them builds the residual's.
         built = []
         coo_to_csr = linop._coo_to_csr
@@ -217,7 +217,7 @@ class TestCSRKernels:
         monkeypatch.setattr(solver, "_coo_to_csr", recorded)
         H = newton_operator(params, N)
         assert [args[3].dtype for args, _ in built[-2:]] \
-            == [complex, np.float64]
+            == [np.float64, np.float64]
         for (m, rows, cols, vals), got in built:
             want = sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
             assert_same_csr(got, want)

@@ -68,8 +68,9 @@ def d2_params():
 
 
 def both_layers(state):
-    """u and the derived v(k, n) = conj u(-k, n) on a last layer axis, +
-    first: index_region's site order on the state's box."""
+    """u and the derived v(k, n) = u(-k, n), the conjugate mirror of the
+    real u, on a last layer axis, + first: index_region's site order on
+    the state's box."""
     return np.stack([state.amp, solver._mirror(state.amp, state.b)], -1)
 
 
@@ -106,12 +107,12 @@ def layered_residual(state, omega, params):
 
 
 def random_plus_coeffs(rng, b, d, count, k_max=3, n_max=2, scale=1.0):
-    """{(k, n, +1): value} at random sites with random complex values."""
+    """{(k, n, +1): value} at random sites with random real values."""
     coeffs = {}
     for _ in range(count):
         k = tuple(int(c) for c in rng.integers(-k_max, k_max + 1, b))
         n = tuple(int(c) for c in rng.integers(-n_max, n_max + 1, d))
-        coeffs[(k, n, 1)] = complex(*rng.standard_normal(2)) * scale
+        coeffs[(k, n, 1)] = float(rng.standard_normal()) * scale
     return coeffs
 
 
@@ -121,8 +122,8 @@ def perturbed_state(params, seed):
     p (u*v)^(p-1) * u * u, than a run's first state, the anchors alone."""
     coeffs = random_plus_coeffs(np.random.default_rng(seed), params.b,
                                 params.d, 8, k_max=2, n_max=1, scale=1e-2)
-    return FourierState.from_coeffs({s: v.real for s, v in coeffs.items()},
-                                    params.b, params.d, anchor_sites(params))
+    return FourierState.from_coeffs(coeffs, params.b, params.d,
+                                    anchor_sites(params))
 
 
 def with_mirrors(coeffs):
@@ -178,7 +179,7 @@ def layered_coupling(state, params, n_values, dk_radius):
 
 
 def layered_newton_step(state, omega, params, N):
-    """The Newton step on both layers: the complex operator on the
+    """The Newton step on both layers: the operator on the
     layered cube minus the frozen anchors with all four coupling blocks,
     factored by the public splu, its correction subtracted from both
     layers, which symmetrize folds back onto the plus layer."""
@@ -208,7 +209,7 @@ def uncut_coupling(state, params, n_values, dk_radius):
             dk = tuple(int(c - o) for c, o in zip(at, centre))
             n = dk[state.b:]
             if n in n_values and sup_norm(dk[:state.b]) <= dk_radius:
-                kernel[(dk[:state.b], n, xi, xip)] = complex(arr[at])
+                kernel[(dk[:state.b], n, xi, xip)] = float(arr[at])
     return kernel
 
 
@@ -281,8 +282,8 @@ class TestLayout:
                              ids=["reference", "b2", "d2", "p2"])
     def test_get_bitwise_equals_layered_gather(self, params, N_cap):
         # get reads amp at (k, n), or its conjugate at (-k, n) on the minus
-        # layer, bitwise as the layered box gives it, sign of zero included;
-        # outside the box it is +0.
+        # layer, bitwise as a complex layered box gives it, sign of zero
+        # included (-0.0 on the minus layer); outside the box it is +0.
         state = run_solver(params, N_cap=N_cap).state
         b, d = state.b, state.d
         Rk, Rn = state.radii
@@ -291,8 +292,11 @@ class TestLayout:
         outside = [s for s in sites
                    if sup_norm(s[0]) > Rk or sup_norm(s[1]) > Rn]
         assert len(outside) >= 4 and {s[2] for s in outside} == {-1, 1}
+        u = state.amp.astype(complex)
+        layered = recenter(np.stack(
+            [u, np.conj(np.flip(u, tuple(range(b))))], -1), radii)
         got = np.array([state.get(site) for site in sites])
-        want = np.array([layered_gather(state, index_sites([site]))[0]
+        want = np.array([layered[layered_at(index_sites([site]), radii)][0]
                          for site in sites])
         assert np.abs(got).max() > 0
         assert_bitwise_equal(got, want)
@@ -617,13 +621,13 @@ class TestNewtonStep:
     @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
                              ids=["reference", "b2", "d2", "p2"])
     def test_matches_layered_step(self, monkeypatch, params, N_cap):
-        # Newton on the plus layer's real system stops for the same reason
-        # after as many steps as the layered complex step folded back by
+        # Newton on the plus layer's folded system stops for the same
+        # reason after as many steps as the layered step folded back by
         # symmetrize, at amplitudes within 1e-20 of its.  Every state of
-        # the run is real.
+        # the run is float64.
         def real_step(state, *args):
             new, corr = newton_step(state, *args)
-            assert not (state.amp.imag.any() or new.amp.imag.any())
+            assert state.amp.dtype == new.amp.dtype == np.float64
             return new, corr
 
         monkeypatch.setattr(solver, "newton_step", real_step)
@@ -730,19 +734,21 @@ class TestNewtonStep:
         assert math.isnan(err.value.smallest_singular_value)
         assert "not finite" in str(err.value)
 
-    def test_complex_state_refused(self, monkeypatch):
-        # Runs from the real anchors stay real; a complex state is refused
-        # before Newton's matrix is assembled.
+    def test_complex_state_refused(self):
+        # Every state is real, so a complex amplitude is refused where a
+        # state is made, before any residual or Newton matrix; a zero
+        # imaginary part is a real amplitude.
         params = b2_params()
-        coeffs = random_plus_coeffs(np.random.default_rng(41), params.b,
-                                    params.d, 8, k_max=2, n_max=1, scale=1e-2)
-        state = FourierState.from_coeffs(coeffs, params.b, params.d,
-                                         anchor_sites(params))
-        omega = solve_Q(state, params)
-        monkeypatch.setattr(solver, "lattice_operator",
-                            lambda *args: pytest.fail("matrix assembled"))
-        with pytest.raises(ValueError, match="real state"):
-            newton_step(state, omega, params, 2)
+        anchors = anchor_sites(params)
+        assert all(type(v) is float for v in anchors.values())
+        for value in (0.01 + 0.02j, np.complex128(1e-300j)):
+            with pytest.raises(ValueError, match="real"):
+                FourierState.from_coeffs({((1, 1), (1,), 1): value},
+                                         params.b, params.d, anchors)
+        state = FourierState.from_coeffs({((1, 1), (1,), 1): 0.01 + 0j},
+                                         params.b, params.d, anchors)
+        assert state.amp.dtype == np.float64
+        assert state.get(((1, 1), (1,), 1)) == 0.01
 
     @pytest.mark.parametrize("params, N", [
         (reference_params(), 4),
@@ -750,7 +756,6 @@ class TestNewtonStep:
         (d2_params(), 2),
     ], ids=["reference", "b2", "d2"])
     def test_correction_matches_dense_solve(self, params, N):
-        from qpnls.linop import assemble_H
         state = perturbed_state(params, 43)
         om = solve_Q(state, params)
         S = layered_coupling(
@@ -758,14 +763,14 @@ class TestNewtonStep:
             itertools.product(range(-N, N + 1), repeat=params.d),
             dk_radius=2 * N)
         assert any(xi != xip for _, _, xi, xip in S)  # B and its mirror
-        op = assemble_H(params, om, Region.cube(params.b + params.d, N),
-                        0.0, S, exclude=frozen_mode_sites(params.sites))
-        rhs = layered_gather(evaluate_F(state, om, params), op.indexing)
-        dense = np.linalg.solve(op.matrix, rhs)
+        idx = index_region(Region.cube(params.b + params.d, N), params.b,
+                           frozen_mode_sites(params.sites))
+        matrix = linop.lattice_operator(params, om, idx, 0.0, S).toarray()
+        rhs = layered_gather(evaluate_F(state, om, params), idx)
+        dense = np.linalg.solve(matrix, rhs)
         new, corr = newton_step(state, om, params, N)
         # Both layers of the correction are read from the plus layer.
-        sparse = (layered_gather(state, op.indexing)
-                  - layered_gather(new, op.indexing))
+        sparse = (layered_gather(state, idx) - layered_gather(new, idx))
         scale = np.abs(dense).max()
         assert scale > 0
         assert np.abs(sparse - dense).max() <= 1e-12 * scale
@@ -791,9 +796,8 @@ class TestNewtonStep:
         Rk, Rn = state.radii
         radii = (max(Rk, N),) * params.b + (max(Rn, N),) * params.d
         at = tuple((plus + radii).T)
-        F = recenter(evaluate_F(state, om, params).amp, radii)[at]
-        assert not F.imag.any()
-        rhs = F.real
+        rhs = recenter(evaluate_F(state, om, params).amp, radii)[at]
+        assert rhs.dtype == np.float64
         lu = splu(csc_matrix(csc, shape=(A.m, A.m)),
                   permc_spec="MMD_AT_PLUS_A")
         x = lu.solve(rhs)
@@ -849,16 +853,15 @@ class TestSymmetrize:
                                  state.amp)
 
     def test_fills_missing_mirror_with_average(self):
-        layered = np.zeros((5, 3, 2), dtype=complex)
-        layered[4, 2, 0] = 0.8 + 0.2j  # ((2,), (1,), +)
+        layered = np.zeros((5, 3, 2))
+        layered[4, 2, 0] = 0.8  # ((2,), (1,), +)
         out = symmetrize(layered, 1)
-        assert out.get(((2,), (1,), 1)) == pytest.approx(0.4 + 0.1j)
-        assert out.get(((-2,), (1,), -1)) == pytest.approx(0.4 - 0.1j)
+        assert out.get(((2,), (1,), 1)) == pytest.approx(0.4)
+        assert out.get(((-2,), (1,), -1)) == pytest.approx(0.4)
 
     def test_idempotent(self):
         rng = np.random.default_rng(23)
-        layered = (rng.standard_normal((7, 5, 2))
-                   + 1j * rng.standard_normal((7, 5, 2)))
+        layered = rng.standard_normal((7, 5, 2))
         once = symmetrize(layered, 1)
         assert_bitwise_equal(symmetrize(both_layers(once), 1).amp, once.amp)
 

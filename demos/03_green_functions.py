@@ -18,9 +18,8 @@ def main():
     G, rep = green(op)
     print(f"operator on a cube of side 7: {op.m} sites")
     print(f"  inverse norm {rep.norm:.3e} (budget {rep.norm_budget:.3e})")
-    print(f"  off-diagonal decay rate {rep.decay_rate_fit:.3f} "
-          f"(target {rep.gamma_target})")
-    print(f"  classified {'good' if rep.good else 'bad'}")
+    print(f"  classified {'good' if rep.good else 'bad'} "
+          f"(target decay rate {rep.gamma_target})")
 
     resonant = [op.indexing.sites[int(np.argmin(np.abs(np.diag(op.matrix))))]]
     G2 = schur_green(op, resonant)

@@ -291,15 +291,16 @@ def clustering_count(params: ModelParams, sigma: float, L: int,
                      threshold: float) -> tuple[int, list[tuple]]:
     """Largest per-sign count of near-resonant lattice points.
 
-    For each sign xi, counts (k, n) in the truncated lattice with
-    |xi (sigma + k . omega0) + mu_n| below threshold, and returns the
-    maximum of the two counts together with all witnesses.
+    For each sign xi, counts (k, n) in the truncated lattice whose
+    diagonal value on layer xi, |mu_n - xi (sigma + k . omega0)| (see
+    linop.diagonal_values), is below threshold, and returns the maximum of
+    the two counts together with all witnesses (k, n, xi, value).
     """
     ks, kw, ns, mus = _resonance_table(params, L, L)
     best = 0
     witnesses = []
     for xi in (+1, -1):
-        vals = np.abs(xi * (sigma + kw)[:, None] + mus[None, :])
+        vals = np.abs(mus[None, :] - xi * (sigma + kw)[:, None])
         hits = np.argwhere(vals < threshold)
         best = max(best, hits.shape[0])
         for ki, ni in hits.tolist():

@@ -51,8 +51,6 @@ def reconstruct(solution: Solution, t: float,
 class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times),) + box.shape
-    box: LatticeBox
-    dt: float
     norm_drift: float
 
 
@@ -130,8 +128,7 @@ def integrate(u0: np.ndarray, params: ModelParams, box: LatticeBox,
             times.append(t)
             states.append(u.copy())
     drift = abs(np.linalg.norm(u) - norm0)
-    return Trajectory(np.asarray(times), np.asarray(states), box, dt,
-                      float(drift))
+    return Trajectory(np.asarray(times), np.asarray(states), float(drift))
 
 
 def closed_form_decoupled(u0: np.ndarray, params: ModelParams,

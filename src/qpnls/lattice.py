@@ -179,17 +179,6 @@ class Region:
             rec["cut_origin"] = list(self.cut_origin)
         return rec
 
-    @staticmethod
-    def from_record(rec: dict) -> "Region":
-        lo = tuple(int(round(c - w)) for c, w in zip(rec["center"], rec["widths"]))
-        hi = tuple(int(round(c + w)) for c, w in zip(rec["center"], rec["widths"]))
-        cuts = None
-        origin = None
-        if "sign_cuts" in rec:
-            cuts = tuple(s if s else None for s in rec["sign_cuts"])
-            origin = tuple(rec["cut_origin"])
-        return Region(lo, hi, cuts, origin)
-
 
 def enumerate_elementary_regions(r: int, N: int) -> list[Region]:
     """All elementary regions of size N centered at the origin: the full
@@ -296,9 +285,9 @@ class Indexing:
     """Deterministic bijection between layered sites and 0..m-1.
 
     Row i is the site (positions[i, :b], positions[i, b:], layers[i]).
-    index_sites and index_region order the sites lexicographically on
-    (k, n), + before -; lattice_operator accepts any order.  Site tuples
-    and the lookup idx[site] are derived from the arrays on first use.
+    index_region orders the sites lexicographically on (k, n), + before
+    -; lattice_operator accepts any order.  Site tuples and the lookup
+    idx[site] are derived from the arrays on first use.
     """
 
     positions: np.ndarray  # (m, b+d) int64
@@ -329,21 +318,12 @@ def _site_arrays(sites: list[Site]) -> tuple[np.ndarray, np.ndarray]:
             np.array([s[2] for s in sites], dtype=np.int64))
 
 
-def index_sites(sites: Iterable[Site]) -> Indexing:
-    """Indexing of distinct layered sites, ordered on (k, n) with + before
-    -: the C order of a centered box array whose layer axis comes last."""
-    sites = list(sites)
-    pos, layers = _site_arrays(sites)
-    order = np.lexsort((-layers,) + tuple(pos.T[::-1]))
-    return Indexing(pos[order], layers[order], len(sites[0][0]))
-
-
 def index_region(region: Region, b: int,
                  exclude: Iterable[Site] = ()) -> Indexing:
     """Index the +/- layered sites of a region, minus an excluded site set.
 
-    Each point in the region's C order is repeated for +, then -, which is
-    already the order of index_sites."""
+    Each point in the region's C order is repeated for +, then -: the
+    C order of a centered box array whose layer axis comes last."""
     pos = np.repeat(region.points(), 2, axis=0)
     layers = np.tile(np.array([1, -1], dtype=np.int64), pos.shape[0] // 2)
     ex_pos, ex_xi = _site_arrays(list(exclude))

@@ -28,8 +28,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy
 
-from .lattice import (Indexing, Region, Site, enumerate_elementary_regions,
-                      index_region, index_sites, sup_norm)
+from .lattice import (Indexing, Region, Site, _site_arrays,
+                      enumerate_elementary_regions, index_region, sup_norm)
 from .potential import ModelParams
 
 
@@ -67,7 +67,8 @@ def diagonal_values(params: ModelParams, omega: Sequence[float],
 def diagonal_value(params: ModelParams, omega: Sequence[float],
                    sigma: float, site: Site) -> float:
     """Diagonal entry at one site (see diagonal_values)."""
-    return float(diagonal_values(params, omega, index_sites([site]), sigma)[0])
+    idx = Indexing(*_site_arrays([site]), len(site[0]))
+    return float(diagonal_values(params, omega, idx, sigma)[0])
 
 
 class _SiteKeys:
@@ -199,13 +200,6 @@ class CSR:
         return self._kernel("csr_todense",
                             np.zeros((self.m, self.m), self.data.dtype))[0]
 
-    def tocsc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(data, indices, indptr) in canonical CSC layout."""
-        indptr, indices, data = self._kernel(
-            "csr_tocsc", *map(np.empty_like, (self.indptr, self.indices,
-                                              self.data)))
-        return data, indices, indptr
-
 
 def _coo_to_csr(m: int, rows: np.ndarray, cols: np.ndarray,
                 vals: np.ndarray) -> CSR:
@@ -284,13 +278,9 @@ class SingularOperatorError(RuntimeError):
 @dataclass(frozen=True)
 class GreenReport:
     norm: float
-    decay_rate_fit: float
-    decay_fit_residual: float
     good: bool
-    M: int
     norm_budget: float
     gamma_target: float
-    far_pair_count: int
 
 
 def operator_norm(G: np.ndarray) -> float:
@@ -364,23 +354,7 @@ def green(op: AssembledOperator,
         raise SingularOperatorError(
             f"operator numerically singular (cond {cond:.3e}, "
             f"inverse residual {residual:.3e})", float(s[-1]))
-
-    if d_far.size:
-        logs = np.log(np.maximum(g_far, 1e-300))
-        A = np.vstack([d_far, np.ones_like(d_far)]).T
-        sol, res, *_ = np.linalg.lstsq(A, logs, rcond=None)
-        rate_fit = float(-sol[0])
-        fit_residual = float(np.sqrt(res[0] / d_far.size)) if res.size else 0.0
-    else:
-        rate_fit = math.inf
-        fit_residual = 0.0
-
-    report = GreenReport(
-        norm=float(norm), decay_rate_fit=rate_fit,
-        decay_fit_residual=fit_residual, good=bool(good), M=M,
-        norm_budget=norm_budget, gamma_target=gamma_target,
-        far_pair_count=int(d_far.size))
-    return G, report
+    return G, GreenReport(float(norm), bool(good), norm_budget, gamma_target)
 
 
 def schur_green(op: AssembledOperator,
@@ -389,7 +363,7 @@ def schur_green(op: AssembledOperator,
     block.  Equals the direct inverse wherever both are defined."""
     idx = op.indexing
     B = sorted({idx[s] for s in resonant_sites})
-    C = [i for i in range(idx.m) if i not in set(B)]
+    C = sorted(set(range(idx.m)).difference(B))
     H = op.matrix
     if not B or not C:
         G, _ = green(op)

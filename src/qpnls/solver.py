@@ -9,10 +9,9 @@ growing regions.  All nonlinear terms are convolutions in k at fixed n.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +20,6 @@ from .lattice import (Indexing, Region, Site, box_sup_norms,
 from .linop import (CSR, SingularOperatorError, _coo_to_csr,
                     _scipy_extension, box_operator, lattice_operator)
 from .potential import ModelParams, base_frequencies
-
-IntVec = tuple[int, ...]
 
 # A step counts as growth only above this relative rise.  At a truncation
 # floor the residual wobbles by round-off (at most 2.5e-13 relative in the
@@ -234,34 +231,28 @@ def solve_Q(state: FourierState, params: ModelParams) -> np.ndarray:
 
 
 def linearization_coupling(state: FourierState, params: ModelParams,
-                           n_values: Iterable[IntVec],
-                           dk_radius: int) -> dict:
+                           N: int) -> dict:
     """Derivative of the plus-layer nonlinearity as a k-Toplitz,
     n-diagonal kernel {(dk, n, +1, xi'): value} (see
-    linop.lattice_operator): (p+1)(u*v)^p on the plus layer and
-    p (u*v)^(p-1) * u * u on the minus one; the minus rows are their
-    mirror.  Entries with delta |S| <= _ROUND_OFF eps are cut; F keeps
-    them."""
+    linop.lattice_operator) for the cube of size N, |dk| <= 2N and
+    |n| <= N: (p+1)(u*v)^p on the plus layer and p (u*v)^(p-1) * u * u
+    on the minus one; the minus rows are their mirror.  Entries with
+    delta |S| <= _ROUND_OFF eps are cut; F keeps them."""
     p, b = params.p, state.b
     u = state.amp
     powers = state._convolved(p)[0]
     uu = _conv(u, u, b)
     if p >= 2:
         uu = _conv(powers[-2], uu, b)
-    blocks = {+1: (p + 1) * powers[-1], -1: p * uu}
-    Rn = state.radii[1]
+    radii = (2 * N,) * b + (N,) * state.d
     kernel = {}
-    for n in n_values:
-        if sup_norm(n) > Rn:
-            continue
-        at = (Ellipsis,) + tuple(c + Rn for c in n)
-        for xip, arr in blocks.items():
-            window = recenter(arr[at], (dk_radius,) * b)
-            nz = np.argwhere(params.delta * np.abs(window)
-                             > _ROUND_OFF * params.epsilon)
-            for dk, val in zip((nz - dk_radius).tolist(),
-                               window[tuple(nz.T)].tolist()):
-                kernel[(tuple(dk), n, +1, xip)] = val
+    for xip, arr in ((+1, (p + 1) * powers[-1]), (-1, p * uu)):
+        window = recenter(arr, radii)
+        nz = np.argwhere(params.delta * np.abs(window)
+                         > _ROUND_OFF * params.epsilon)
+        for at, val in zip((nz - radii).tolist(),
+                           window[tuple(nz.T)].tolist()):
+            kernel[(tuple(at[:b]), tuple(at[b:]), +1, xip)] = val
     return kernel
 
 
@@ -269,16 +260,16 @@ def linearization_coupling(state: FourierState, params: ModelParams,
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
 
-def _sparse_lu(csc: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    """splu(A, permc_spec="MMD_AT_PLUS_A") on A's CSC arrays from
-    CSR.tocsc: the same gstrf call, so the same factors (the matrices of
-    SuperLU.L and .U, never read here, would need csc_construct_func).
-    Raises RuntimeError when the factor is exactly singular."""
-    data, indices, indptr = csc
-    # The pattern is structurally symmetric, so a minimum-degree order on
-    # A^T + A fills less than the default column order (COLAMD).
+def _sparse_lu(A: CSR):
+    """splu(A, permc_spec="MMD_AT_PLUS_A") on a bitwise symmetric A, whose
+    CSR arrays are its CSC arrays: the same gstrf call, so the same factors
+    (the matrices of SuperLU.L and .U, never read here, would need
+    csc_construct_func).  Raises RuntimeError when the factor is exactly
+    singular."""
+    # The pattern is symmetric, so a minimum-degree order on A^T + A fills
+    # less than the default column order (COLAMD).
     return _scipy_extension(_SUPERLU).gstrf(
-        indptr.size - 1, int(indptr[-1]), data, indices, indptr,
+        A.m, int(A.indptr[-1]), A.data, A.indices, A.indptr,
         csc_construct_func=None, ilu=False,
         options=dict(DiagPivotThresh=None, ColPerm="MMD_AT_PLUS_A",
                      PanelSize=None, Relax=None))
@@ -290,7 +281,9 @@ def _newton_matrix(state: FourierState, omega: Sequence[float],
     anchors, as (k, n) positions, and the P x P matrix A + B:
     lattice_operator on the P plus sites, then their P mirror sites
     (-k, n, -), whose plus rows read A x + B conj(x) with A, B and x real,
-    so column j + P folds onto column j.  Exact zeros are left out."""
+    so column j + P folds onto column j.  Exact zeros are left out.  A + B
+    is bitwise symmetric: A's coupling block is an autocorrelation in k,
+    which _conv sums in the same order at +dk and -dk, and B's is Hankel."""
     b, d = params.b, params.d
     idx = index_region(Region.cube(b + d, N), b,
                        frozen_mode_sites(params.sites))
@@ -298,9 +291,7 @@ def _newton_matrix(state: FourierState, omega: Sequence[float],
     P = len(plus)
     both = Indexing(np.concatenate([plus, plus * ([-1] * b + [1] * d)]),
                     np.repeat(np.array([1, -1]), P), b)
-    S = linearization_coupling(
-        state, params, itertools.product(range(-N, N + 1), repeat=d),
-        dk_radius=2 * N)
+    S = linearization_coupling(state, params, N)
     A = lattice_operator(params, omega, both, 0.0, S)
     stop = A.indptr[P]
     rows = np.repeat(np.arange(P), np.diff(A.indptr[:P + 1]))
@@ -327,7 +318,7 @@ def newton_step(state: FourierState, omega: Sequence[float],
     at = tuple((plus + radii).T)
     F = recenter(evaluate_F(state, omega, params).amp, radii)[at]
     try:
-        x = _sparse_lu(A.tocsc()).solve(F)
+        x = _sparse_lu(A).solve(F)
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         message, smin = f"linearized operator singular on cube N={N}", math.nan
         if not np.isfinite(A.data).all():

@@ -11,6 +11,7 @@ from qpnls.diophantine import (DiophParams, WronskianInput, _safe_abs_det,
                                estimate_excluded_measure, km_bound,
                                sublevel_measure_1d, wilson_interval,
                                wronskian_det)
+from qpnls.linop import diagonal_value
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 
@@ -302,6 +303,17 @@ class TestClustering:
         assert len(wit) >= count
         for k, n, xi, val in wit:
             assert val < 0.1
+
+    def test_witness_value_is_diagonal_on_its_layer(self):
+        # Each witness (k, n, xi) carries |D| of the operator's diagonal at
+        # that site, layer xi included: mu_n - xi (sigma + k . omega0).
+        p = reference_params()
+        om = base_frequencies(p)
+        count, wit = clustering_count(p, 0.07, 4, 0.1)
+        assert len(wit) == 11 and {xi for _, _, xi, _ in wit} == {1, -1}
+        for k, n, xi, val in wit:
+            assert val == pytest.approx(
+                abs(diagonal_value(p, om, 0.07, (k, n, xi))))
 
 
 class TestExcludedMeasure:

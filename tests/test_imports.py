@@ -38,33 +38,49 @@ def test_no_unused_module_imports(path):
 ROOT = SRC.parents[1]
 
 
+def nodes_in(node: ast.AST, skip: ast.AST | None = None):
+    """Every node under an AST node, leaving out the subtree at skip."""
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if n is not skip:
+            yield n
+            todo.extend(ast.iter_child_nodes(n))
+
+
 def names_in(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """Every name, attribute and imported name under an AST node, leaving
     out the subtree at skip."""
-    out, todo = set(), [node]
-    while todo:
-        n = todo.pop()
-        if n is skip:
-            continue
+    out = set()
+    for n in nodes_in(node, skip):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name.split(".")[-1])
-        todo.extend(ast.iter_child_nodes(n))
     return out
 
 
+def owned_names_in(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """'owner.attr' for every attribute read through a name or an attribute
+    under an AST node (`Region.cube`, `potential.ModelParams.from_record`
+    gives 'ModelParams.from_record', `cls.f` 'cls.f'), leaving out the
+    subtree at skip."""
+    return {f"{getattr(n.value, 'id', None) or n.value.attr}.{n.attr}"
+            for n in nodes_in(node, skip) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, (ast.Name, ast.Attribute))}
+
+
 def spanned_names() -> set[str]:
-    """The parts of the dotted names in perfbench/spans.py's SPANNED."""
+    """The (module, path) strings of perfbench/spans.py's SPANNED."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
     table = next(node.value for node in tree.body
                  if isinstance(node, ast.Assign)
                  and [getattr(t, "id", None) for t in node.targets]
                  == ["SPANNED"])
-    return {part for n in ast.walk(table) if isinstance(n, ast.Constant)
-            for part in str(n.value).split(".")}
+    return {str(n.value) for n in ast.walk(table)
+            if isinstance(n, ast.Constant)}
 
 
 def definitions(tree: ast.Module):
@@ -81,25 +97,46 @@ def definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
+def unreached(modules: dict[str, ast.Module], users: list[ast.AST],
+              spanned: set[str]) -> list[str]:
+    """Definitions of the modules that no other module, no other part of
+    their own module, no user and no spanned (module, path) string names.
+
+    A function, class or method counts as reached where its name appears
+    at all.  A staticmethod or classmethod counts only where it is named
+    through its class (`C.f`, `mod.C.f`) or through `cls` (`cls.f`), so a
+    method of another class with the same name does not reach it."""
+    spanned_parts = {part for name in spanned for part in name.split(".")}
+    outside = spanned_parts.union(*map(names_in, users))
+    outside_owned = spanned.union(*map(owned_names_in, users))
+    out = []
+    for name, tree in sorted(modules.items()):
+        others = [t for o, t in modules.items() if o != name]
+        names = outside.union(*map(names_in, others))
+        owned = outside_owned.union(*map(owned_names_in, others))
+        for label, node in definitions(tree):
+            if {"staticmethod", "classmethod"} & {
+                    getattr(d, "id", None) for d in node.decorator_list}:
+                reached = {label, f"cls.{node.name}"} & (
+                    owned | owned_names_in(tree, skip=node))
+            else:
+                reached = node.name in names | names_in(tree, skip=node)
+            if not reached:
+                out.append(f"{name}:{label}")
+    return out
+
+
 def unreached_definitions() -> list[str]:
     """Top-level functions and classes of src/qpnls (outside __init__.py),
     and their classes' non-dunder methods, that no other module of src/,
     no other part of their own module, no demo, no perfbench file and no
-    acceptance test names."""
-    users = [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"),
-             ROOT / "tests" / "test_acceptance.py"]
-    outside = spanned_names().union(*(names_in(ast.parse(p.read_text()))
-                                      for p in users))
+    acceptance test names (see unreached)."""
+    users = [ast.parse(p.read_text()) for p in
+             [*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py"),
+              ROOT / "tests" / "test_acceptance.py"]]
     modules = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")
                if p.name != "__init__.py"}
-    unreached = []
-    for name, tree in sorted(modules.items()):
-        others = outside.union(*(names_in(t) for o, t in modules.items()
-                                 if o != name))
-        for label, node in definitions(tree):
-            if node.name not in others | names_in(tree, skip=node):
-                unreached.append(f"{name}:{label}")
-    return unreached
+    return unreached(modules, users, spanned_names())
 
 
 def test_names_in_counts_names_attributes_and_imports():
@@ -118,6 +155,20 @@ def test_names_in_skips_a_subtree():
                      "    def h(self): return self.g()\n")
     g = tree.body[0].body[0]
     assert "h" not in names_in(tree, skip=g) and "g" in names_in(tree, skip=g)
+
+
+def test_static_and_class_methods_reached_through_their_class():
+    lib = ast.parse(
+        "class A:\n    @staticmethod\n    def load(rec): return A()\n"
+        "    @classmethod\n    def make(cls): return cls.build()\n"
+        "    @classmethod\n    def build(cls): return cls()\n"
+        "    def run(self): pass\n"
+        "class B:\n    @staticmethod\n    def load(rec): return B()\n")
+    user = ast.parse("import lib\nlib.A.load({})\nA.make().run()\nlib.B\n")
+    # B.load shares A.load's name; build is reached through cls.
+    assert unreached({"lib.py": lib}, [user], set()) == ["lib.py:B.load"]
+    assert unreached({"lib.py": lib}, [], {"lib", "A.load", "B.load"}) == [
+        "lib.py:A.make", "lib.py:A.run"]
 
 
 def test_library_definitions_are_reached():

@@ -14,8 +14,7 @@ import pytest
 from qpnls import lattice
 from qpnls.lattice import (EmptyRegionError, EmptySectionError, Region,
                            enumerate_elementary_regions, frozen_mode_sites,
-                           index_region, index_sites, region_section,
-                           sup_norm)
+                           index_region, region_section, sup_norm)
 
 
 def site_set(region):
@@ -157,7 +156,6 @@ class TestRegionBasics:
         for same in (Region((-1, 0, 2), (3, 4, 5), ("<", None, ">"),
                             (1, 2, 3)),
                      reg.translate((2, -1, 0)).translate((-2, 1, 0)),
-                     Region.from_record(reg.to_record()),
                      pickle.loads(pickle.dumps(reg)), copy.deepcopy(reg)):
             assert same == reg and hash(same) == hash(reg)
             assert same.sites() == reg.sites()
@@ -209,11 +207,6 @@ class TestRegionBasics:
             assert reg.size() == len(want)
             assert reg.diameter() == max(
                 max(a - b for a, b in zip(x, y)) for x in want for y in want)
-
-    def test_serialization_round_trip(self):
-        for reg in enumerate_elementary_regions(3, 2):
-            back = Region.from_record(reg.to_record())
-            assert site_set(back) == site_set(reg)
 
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
@@ -395,7 +388,7 @@ class TestIndexing:
     @pytest.mark.parametrize("N", [1, 2])
     def test_index_region_matches_tuple_sort(self, r, N):
         for reg in enumerate_elementary_regions(r, N):
-            for b in range(1, r):
+            for b in range(r):
                 d = r - b
                 anchors = [(l,) + (0,) * (d - 1) for l in range(b)]
                 for excl in (frozenset(), frozen_mode_sites(anchors)):
@@ -406,21 +399,6 @@ class TestIndexing:
                     idx = index_region(reg, b, exclude=excl)
                     assert list(idx.sites) == want
                     _check_rows(idx, b)
-
-    def test_index_sites_of_shuffled_set(self):
-        rng = np.random.default_rng(5)
-        reg = Region((-2, -1, 0), (1, 2, 2), sign_cuts=("<", ">", None),
-                     cut_origin=(0, 0, 1))
-        for b in (0, 1, 2):
-            sites = [(y[:b], y[b:], xi) for y in reg.sites()
-                     for xi in (1, -1)]
-            want = _oracle_order(sites)
-            assert list(index_region(reg, b).sites) == want
-            for _ in range(3):
-                rng.shuffle(sites)
-                idx = index_sites(iter(sites))
-                assert list(idx.sites) == want
-                _check_rows(idx, b)
 
 
 class TestNorms:

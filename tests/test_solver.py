@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qpnls.lattice import (Region, frozen_mode_sites, index_region,
-                           index_sites, recenter, sup_norm)
+                           recenter, sup_norm)
 from qpnls.potential import ModelParams, TrigPoly, base_frequencies, \
     reference_params
 from qpnls import linop, solver
@@ -157,14 +157,15 @@ def coupling_blocks(state, params):
             (+1, -1): p * uu, (-1, +1): p * vv}
 
 
-def layered_coupling(state, params, n_values, dk_radius):
-    """The coupling kernel of the layered Newton system: all four blocks
-    of coupling_blocks, on the n values of the state's box, with
+def layered_coupling(state, params, N):
+    """The coupling kernel of the layered Newton system on the cube of size
+    N: all four blocks of coupling_blocks, |dk| <= 2N, on the n values of
+    the cube and of the state's box, one n at a time, with
     linearization_coupling's cut."""
-    b, Rn = state.b, state.radii[1]
+    b, Rn, dk_radius = state.b, state.radii[1], 2 * N
     blocks = coupling_blocks(state, params)
     kernel = {}
-    for n in n_values:
+    for n in itertools.product(range(-N, N + 1), repeat=state.d):
         if sup_norm(n) > Rn:
             continue
         at = (Ellipsis,) + tuple(c + Rn for c in n)
@@ -183,15 +184,16 @@ def layered_newton_step(state, omega, params, N):
     layered cube minus the frozen anchors with all four coupling blocks,
     factored by the public splu, its correction subtracted from both
     layers, which symmetrize folds back onto the plus layer."""
-    from scipy.sparse import csc_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import splu
     b, d = params.b, params.d
     idx = index_region(Region.cube(b + d, N), b,
                        frozen_mode_sites(params.sites))
-    S = layered_coupling(state, params,
-                         itertools.product(range(-N, N + 1), repeat=d), 2 * N)
-    A = linop.lattice_operator(params, omega, idx, 0.0, S).tocsc()
-    lu = splu(csc_matrix(A, shape=(idx.m, idx.m)), permc_spec="MMD_AT_PLUS_A")
+    A = linop.lattice_operator(params, omega, idx, 0.0,
+                               layered_coupling(state, params, N))
+    lu = splu(csr_matrix((A.data, A.indices, A.indptr),
+                         shape=(A.m, A.m)).tocsc(),
+              permc_spec="MMD_AT_PLUS_A")
     delta = lu.solve(layered_gather(evaluate_F(state, omega, params), idx))
     Rk, Rn = state.radii
     radii = (max(Rk, N),) * b + (max(Rn, N),) * d
@@ -200,15 +202,16 @@ def layered_newton_step(state, omega, params, N):
     return symmetrize(layered, b), float(np.abs(delta).max())
 
 
-def uncut_coupling(state, params, n_values, dk_radius):
-    """linearization_coupling's kernel with every nonzero entry kept."""
-    n_values, kernel = set(n_values), {}
+def uncut_coupling(state, params, N):
+    """The layered coupling kernel on the cube of size N, all four blocks,
+    with every nonzero entry kept."""
+    kernel = {}
     for (xi, xip), arr in coupling_blocks(state, params).items():
         centre = [(s - 1) // 2 for s in arr.shape]
         for at in zip(*np.nonzero(arr)):
             dk = tuple(int(c - o) for c, o in zip(at, centre))
             n = dk[state.b:]
-            if n in n_values and sup_norm(dk[:state.b]) <= dk_radius:
+            if sup_norm(n) <= N and sup_norm(dk[:state.b]) <= 2 * N:
                 kernel[(dk[:state.b], n, xi, xip)] = float(arr[at])
     return kernel
 
@@ -288,7 +291,8 @@ class TestLayout:
         b, d = state.b, state.d
         Rk, Rn = state.radii
         radii = (Rk + 1,) * b + (Rn + 1,) * d
-        sites = index_region(Region.box([-r for r in radii], radii), b).sites
+        idx = index_region(Region.box([-r for r in radii], radii), b)
+        sites = idx.sites
         outside = [s for s in sites
                    if sup_norm(s[0]) > Rk or sup_norm(s[1]) > Rn]
         assert len(outside) >= 4 and {s[2] for s in outside} == {-1, 1}
@@ -296,8 +300,7 @@ class TestLayout:
         layered = recenter(np.stack(
             [u, np.conj(np.flip(u, tuple(range(b))))], -1), radii)
         got = np.array([state.get(site) for site in sites])
-        want = np.array([layered[layered_at(index_sites([site]), radii)][0]
-                         for site in sites])
+        want = layered[layered_at(idx, radii)]
         assert np.abs(got).max() > 0
         assert_bitwise_equal(got, want)
 
@@ -494,8 +497,8 @@ class TestEvaluateF:
         p = reference_params()
         state = FourierState.from_coeffs({((4,), (0,), 1): 1e-10}, 1, 1,
                                          anchor_sites(p))
-        kernel = uncut_coupling(state, p, [(0,)], dk_radius=8)
-        kept = linearization_coupling(state, p, [(0,)], dk_radius=8)
+        kernel = uncut_coupling(state, p, 4)
+        kept = linearization_coupling(state, p, 4)
         assert kept.items() < kernel.items()
         u = {k: c for (k, _, xi), c in state.coeffs.items() if xi > 0}
         v = {k: c for (k, _, xi), c in state.coeffs.items() if xi < 0}
@@ -613,10 +616,24 @@ class TestNewtonStep:
     def test_coupling_kernel_structure(self):
         p = reference_params()
         state = initial_state(p)
-        S = linearization_coupling(state, p, [(0,)], dk_radius=4)
+        S = linearization_coupling(state, p, 2)
         # n-diagonal and Toplitz by construction: keys carry dk only
         for (dk, n, xi, xip) in S:
             assert n == (0,)
+
+    @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
+                             ids=["reference", "b2", "d2", "p2"])
+    def test_coupling_equals_plus_rows_per_n(self, params, N_cap):
+        # The kernel on the whole cube is the plus rows of the layered
+        # kernel built one n at a time, key for key and bit for bit, on
+        # cubes that crop the coupling blocks and on cubes that pad them.
+        state = perturbed_state(params, 41)
+        for N in (1, 2, min(4, N_cap)):
+            S = linearization_coupling(state, params, N)
+            want = {key: val for key, val in
+                    layered_coupling(state, params, N).items() if key[2] > 0}
+            assert S and S == want
+            assert all(type(v) is float for v in S.values())
 
     @pytest.mark.parametrize("params, N_cap", PARITY_CASES,
                              ids=["reference", "b2", "d2", "p2"])
@@ -649,10 +666,9 @@ class TestNewtonStep:
         cut = run_solver(params, N_cap=N_cap)
         sizes = []
 
-        def uncut(state, params, n_values, dk_radius):
-            n_values = list(n_values)
-            kernel = uncut_coupling(state, params, n_values, dk_radius)
-            kept = linearization_coupling(state, params, n_values, dk_radius)
+        def uncut(state, params, N):
+            kernel = uncut_coupling(state, params, N)
+            kept = linearization_coupling(state, params, N)
             assert kept.items() <= kernel.items()
             sizes.append((len(kept), len(kernel)))
             return kernel
@@ -671,22 +687,26 @@ class TestNewtonStep:
         # The layered operator is Hermitian and its block on the mirror
         # sites complex symmetric, so the float64 matrix of every Newton
         # step equals its transpose, bitwise: its CSR arrays are its CSC
-        # arrays.  Each step factors the P x P block Ar + Br.
+        # arrays, which _sparse_lu hands to SuperLU as they are.  Each
+        # step factors the P x P block Ar + Br.
+        from scipy.sparse import csr_matrix
         seen, newton_matrix = [], solver._newton_matrix
 
         def checked(*args):
             plus, A = newton_matrix(*args)
             assert A.data.dtype == np.float64 and A.m == len(plus)
-            for got, want in zip(A.tocsc(), (A.data, A.indices, A.indptr)):
+            csc = csr_matrix((A.data, A.indices, A.indptr),
+                             shape=(A.m, A.m)).tocsc()
+            for got, want in zip((csc.data, csc.indices, csc.indptr),
+                                 (A.data, A.indices, A.indptr)):
                 assert np.array_equal(got, want)
             seen.append(A.m)
             return plus, A
 
         monkeypatch.setattr(solver, "_newton_matrix", checked)
-        for params, N_cap in (PARITY_CASES[0], PARITY_CASES[1],
-                              PARITY_CASES[3]):
+        for params, N_cap in PARITY_CASES + [(b3_params(), 4)]:
             run_solver(params, N_cap=N_cap)
-        assert len(seen) == 11
+        assert len(seen) == 24
 
     def test_quadratic_remainder(self):
         # the post-step residual is second order in the correction size
@@ -758,10 +778,7 @@ class TestNewtonStep:
     def test_correction_matches_dense_solve(self, params, N):
         state = perturbed_state(params, 43)
         om = solve_Q(state, params)
-        S = layered_coupling(
-            state, params,
-            itertools.product(range(-N, N + 1), repeat=params.d),
-            dk_radius=2 * N)
+        S = layered_coupling(state, params, N)
         assert any(xi != xip for _, _, xi, xip in S)  # B and its mirror
         idx = index_region(Region.cube(params.b + params.d, N), params.b,
                            frozen_mode_sites(params.sites))
@@ -786,29 +803,29 @@ class TestNewtonStep:
         # newton_step calls SuperLU's gstrf itself on its float64 matrix;
         # it must factor exactly as the public splu with the same column
         # order does.
-        from scipy.sparse import csc_matrix
+        from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import splu
         state = perturbed_state(params, 47)
         om = solve_Q(state, params)
         plus, A = solver._newton_matrix(state, om, params, N)
-        csc = A.tocsc()
-        assert csc[0].dtype == np.float64 and A.m == len(plus)
+        csc = csr_matrix((A.data, A.indices, A.indptr),
+                         shape=(A.m, A.m)).tocsc()
+        assert csc.dtype == np.float64 and A.m == len(plus)
         Rk, Rn = state.radii
         radii = (max(Rk, N),) * params.b + (max(Rn, N),) * params.d
         at = tuple((plus + radii).T)
         rhs = recenter(evaluate_F(state, om, params).amp, radii)[at]
         assert rhs.dtype == np.float64
-        lu = splu(csc_matrix(csc, shape=(A.m, A.m)),
-                  permc_spec="MMD_AT_PLUS_A")
+        lu = splu(csc, permc_spec="MMD_AT_PLUS_A")
         x = lu.solve(rhs)
-        assert np.array_equal(solver._sparse_lu(csc).solve(rhs), x)
+        assert np.array_equal(solver._sparse_lu(A).solve(rhs), x)
         # newton_step subtracts x from the plus layer at those sites.
         new, _ = newton_step(state, om, params, N)
         want = recenter(state.amp, radii)
         want[at] -= x
         assert_bitwise_equal(new.amp, want)
         # The adjoint solve an a posteriori bound would use agrees too.
-        assert np.array_equal(solver._sparse_lu(csc).solve(rhs, trans="H"),
+        assert np.array_equal(solver._sparse_lu(A).solve(rhs, trans="H"),
                               lu.solve(rhs, trans="H"))
 
     @pytest.mark.parametrize("name, held_by_scipy, qpnls_first", [
